@@ -139,6 +139,24 @@ func TestConfigErrorFields(t *testing.T) {
 			_, err := banshee.Run(cfg, "pagerank", "Banshee")
 			return err
 		}, "InstrPerCore"},
+		{"L2 lines not divisible by ways", func() error {
+			cfg := errCfg()
+			cfg.L2Ways = 3
+			_, err := banshee.NewSession(cfg, "pagerank", "Banshee")
+			return err
+		}, "L2Ways"},
+		{"L3 wider than 16 ways", func() error {
+			cfg := errCfg()
+			cfg.L3Ways = 32
+			_, err := banshee.NewSession(cfg, "pagerank", "Banshee")
+			return err
+		}, "L3Ways"},
+		{"L1 set count not a power of two", func() error {
+			cfg := errCfg()
+			cfg.L1Bytes = 48 << 10
+			_, err := banshee.NewSession(cfg, "pagerank", "Banshee")
+			return err
+		}, "L1Bytes"},
 		{"trace core-count mismatch", func() error {
 			path := filepath.Join(t.TempDir(), "c.btrc")
 			if err := banshee.RecordTrace(path, "mcf", banshee.RecordOptions{

@@ -11,39 +11,37 @@
 // reconfiguration) and tagging lines with metadata bits (the per-line
 // page-size bit of §4.3 used to route LLC dirty evictions).
 //
-// Storage is struct-of-arrays over one flat backing allocation (tags,
-// stamps, and packed flag/meta bytes in parallel slices indexed by
+// Storage is struct-of-arrays over one flat backing allocation (tags
+// and packed flag/meta bytes in parallel slices indexed by
 // set×ways+way), so the way scan on every access walks contiguous
-// memory instead of hopping across per-set slice headers — see
-// DESIGN.md §10 for the layout contract.
+// memory instead of hopping across per-set slice headers. Replacement
+// is exact LRU kept as one recency word per set — see DESIGN.md §10
+// for the layout contract.
 package cache
 
 import (
 	"fmt"
 	"math/bits"
 
+	"banshee/internal/errs"
 	"banshee/internal/mem"
-	"banshee/internal/util"
 )
 
-// Policy selects the victim-choice algorithm.
+// Policy selects the victim-choice algorithm. LRU is the only one.
 type Policy uint8
 
-const (
-	LRU Policy = iota
-	FIFO
-	Random
-)
+// LRU evicts the least recently used line: the one whose last demand
+// access or fill is oldest.
+const LRU Policy = 0
+
+// MaxWays bounds the associativity: a set's recency word holds one
+// 4-bit way ID per way, and 16 of them fill a uint64.
+const MaxWays = 16
 
 // String implements fmt.Stringer.
 func (p Policy) String() string {
-	switch p {
-	case LRU:
+	if p == LRU {
 		return "LRU"
-	case FIFO:
-		return "FIFO"
-	case Random:
-		return "Random"
 	}
 	return fmt.Sprintf("Policy(%d)", uint8(p))
 }
@@ -52,28 +50,35 @@ func (p Policy) String() string {
 type Config struct {
 	Name      string
 	SizeBytes int
-	Ways      int
+	Ways      int // 1..MaxWays
 	LineBytes int
-	Policy    Policy
-	Seed      uint64 // for Random policy
+	Policy    Policy // must be LRU
+	Seed      uint64 // unused: replacement is deterministic
 }
 
-func (c Config) validate() error {
+// Validate reports the first rule c breaks as an *errs.ConfigError
+// whose Field names the Config field at fault ("SizeBytes", "Ways",
+// "LineBytes" or "Policy"), or nil when c is a valid cache.
+func (c Config) Validate() *errs.ConfigError {
 	switch {
 	case c.SizeBytes <= 0:
-		return fmt.Errorf("cache %q: size must be positive, got %d", c.Name, c.SizeBytes)
+		return errs.Configf("SizeBytes", "cache %q: size must be positive, got %d", c.Name, c.SizeBytes)
 	case c.Ways <= 0:
-		return fmt.Errorf("cache %q: ways must be positive, got %d", c.Name, c.Ways)
+		return errs.Configf("Ways", "cache %q: ways must be positive, got %d", c.Name, c.Ways)
+	case c.Ways > MaxWays:
+		return errs.Configf("Ways", "cache %q: at most %d ways, got %d", c.Name, MaxWays, c.Ways)
 	case c.LineBytes <= 0 || c.LineBytes&(c.LineBytes-1) != 0:
-		return fmt.Errorf("cache %q: line bytes must be a positive power of two, got %d", c.Name, c.LineBytes)
+		return errs.Configf("LineBytes", "cache %q: line bytes must be a positive power of two, got %d", c.Name, c.LineBytes)
+	case c.Policy != LRU:
+		return errs.Configf("Policy", "cache %q: unsupported replacement policy %v", c.Name, c.Policy)
 	}
 	lines := c.SizeBytes / c.LineBytes
 	if lines%c.Ways != 0 {
-		return fmt.Errorf("cache %q: %d lines not divisible by %d ways", c.Name, lines, c.Ways)
+		return errs.Configf("Ways", "cache %q: %d lines not divisible by %d ways", c.Name, lines, c.Ways)
 	}
 	sets := lines / c.Ways
 	if sets == 0 || sets&(sets-1) != 0 {
-		return fmt.Errorf("cache %q: set count %d must be a positive power of two", c.Name, sets)
+		return errs.Configf("SizeBytes", "cache %q: set count %d must be a positive power of two", c.Name, sets)
 	}
 	return nil
 }
@@ -108,48 +113,62 @@ type Stats struct {
 	Invalidate uint64
 }
 
+// Bit patterns over the 16 nibbles of a recency word.
+const (
+	nibbleLow  = 0x1111111111111111 // the low bit of every nibble
+	nibbleHigh = 0x8888888888888888 // the high bit of every nibble
+	identity   = 0xFEDCBA9876543210 // nibble i holds way i
+)
+
 // Cache is a single set-associative cache. Not safe for concurrent use.
 //
 // Line state is struct-of-arrays: slot s = set×Ways+way holds its tag
-// in tags[s], its replacement stamp in stamps[s], and valid/dirty bits
-// plus caller metadata in flags[s]/meta[s].
+// in tags[s] and valid/dirty bits plus caller metadata in
+// flags[s]/meta[s]. Replacement state is one word per set:
+// recency[set] lists the set's way IDs 4 bits each, most recently used
+// in the low nibble, least recently used in nibble Ways−1. The nibbles
+// above Ways−1 stay zero.
 type Cache struct {
 	cfg      Config
 	tags     []uint64
-	stamps   []uint64 // LRU: last-touch tick; FIFO: insertion tick
 	flags    []uint8
 	meta     []uint8
+	recency  []uint64
 	ways     int
 	nsets    int
 	setMask  uint64
 	setBits  uint // precomputed popcount(setMask): the tag shift
 	lineBits uint
-	tick     uint64
-	rng      *util.RNG
+	lruShift uint   // 4×(Ways−1): the bit offset of the LRU nibble
+	recMask  uint64 // the low 4×Ways bits, the nibbles a recency word uses
 	stats    Stats
 	ev       Eviction // scratch returned by Access/Fill/Invalidate
 }
 
 // New builds a cache; it panics on invalid configuration (a setup bug).
 func New(cfg Config) *Cache {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	nsets := cfg.SizeBytes / cfg.LineBytes / cfg.Ways
 	n := nsets * cfg.Ways
 	c := &Cache{
-		cfg:     cfg,
-		tags:    make([]uint64, n),
-		stamps:  make([]uint64, n),
-		flags:   make([]uint8, n),
-		meta:    make([]uint8, n),
-		ways:    cfg.Ways,
-		nsets:   nsets,
-		setMask: uint64(nsets - 1),
-		rng:     util.NewRNG(cfg.Seed ^ 0xCAC4E),
+		cfg:      cfg,
+		tags:     make([]uint64, n),
+		flags:    make([]uint8, n),
+		meta:     make([]uint8, n),
+		recency:  make([]uint64, nsets),
+		ways:     cfg.Ways,
+		nsets:    nsets,
+		setMask:  uint64(nsets - 1),
+		lruShift: uint(4 * (cfg.Ways - 1)),
+		recMask:  ^uint64(0) >> (64 - 4*cfg.Ways),
 	}
 	c.setBits = uint(bits.OnesCount64(c.setMask))
 	c.lineBits = uint(bits.TrailingZeros64(uint64(cfg.LineBytes)))
+	for i := range c.recency {
+		c.recency[i] = identity & c.recMask
+	}
 	return c
 }
 
@@ -171,6 +190,20 @@ func (c *Cache) addrOf(set uint64, tag uint64) mem.Addr {
 	return mem.Addr((tag<<c.setBits | set) << c.lineBits)
 }
 
+// touch makes way the most recently used way of set. The way's nibble
+// is found without a loop: XOR turns it into the word's only zero
+// nibble below Ways, and the lowest nibble flagged by the SWAR
+// zero-nibble test (x−0x1…1) &^ x & 0x8…8 is exactly the lowest zero
+// nibble. The nibbles below it shift up by one and the way goes in
+// nibble 0.
+func (c *Cache) touch(set uint64, way int) {
+	r := c.recency[set]
+	x := r ^ uint64(way)*nibbleLow
+	p := uint(bits.TrailingZeros64((x-nibbleLow)&^x&nibbleHigh)) &^ 3
+	below := uint64(1)<<p - 1
+	c.recency[set] = r&^(below<<4|0xF) | (r&below)<<4 | uint64(way)
+}
+
 // Lookup reports whether a's line is present without changing any state.
 func (c *Cache) Lookup(a mem.Addr) bool {
 	set, tag := c.index(a)
@@ -190,11 +223,10 @@ func (c *Cache) Lookup(a mem.Addr) bool {
 //
 // The way scan doubles as the victim pre-selection: by the time a miss
 // is known, every way's valid bit has been read, so the first invalid
-// way (the victim preferred by all policies) falls out of the same pass
-// instead of a second scan in fill.
+// way (the preferred victim) falls out of the same pass instead of a
+// second scan in fill.
 func (c *Cache) Access(a mem.Addr, write bool, meta uint8) (hit bool, ev *Eviction) {
 	c.stats.Accesses++
-	c.tick++
 	set, tag := c.index(a)
 	base := int(set) * c.ways
 	tags := c.tags[base : base+c.ways]
@@ -209,9 +241,7 @@ func (c *Cache) Access(a mem.Addr, write bool, meta uint8) (hit bool, ev *Evicti
 		}
 		if tg == tag {
 			s := base + i
-			if c.cfg.Policy == LRU {
-				c.stamps[s] = c.tick
-			}
+			c.touch(set, i)
 			if write {
 				c.flags[s] |= fDirty
 				c.meta[s] = meta
@@ -229,9 +259,10 @@ func (c *Cache) Access(a mem.Addr, write bool, meta uint8) (hit bool, ev *Evicti
 }
 
 // Fill inserts a's line without counting a demand access (used when an
-// outer level pushes data in, e.g. prefetch-like flows in tests).
+// outer level pushes data in, e.g. prefetch-like flows in tests). A
+// Fill that finds the line present only merges dirtiness and meta; it
+// leaves the line's recency alone.
 func (c *Cache) Fill(a mem.Addr, dirty bool, meta uint8) *Eviction {
-	c.tick++
 	set, tag := c.index(a)
 	base := int(set) * c.ways
 	tags := c.tags[base : base+c.ways]
@@ -256,28 +287,22 @@ func (c *Cache) Fill(a mem.Addr, dirty bool, meta uint8) *Eviction {
 	return c.fill(set, invalid, tag, dirty, meta)
 }
 
-// fill inserts into set, evicting per policy. invalid is the first
-// invalid way found by the caller's scan (-1 when the set is full) —
-// every policy prefers it, and when the set is full the LRU/FIFO
-// victim is the minimal stamp over the (all-valid) ways.
+// fill inserts into set and makes the filled way the most recently
+// used. invalid is the first invalid way found by the caller's scan
+// (-1 when the set is full) and is preferred; when the set is full the
+// victim is the LRU nibble of the recency word, and moving it to the
+// front is a plain rotate.
 func (c *Cache) fill(set uint64, invalid int, tag uint64, dirty bool, meta uint8) *Eviction {
-	base := int(set) * c.ways
-	var victim int
-	switch {
-	case invalid >= 0:
-		victim = base + invalid
-	case c.cfg.Policy == Random:
-		victim = base + c.rng.Intn(c.ways)
-	default: // LRU and FIFO both evict the smallest stamp
-		stamps := c.stamps[base : base+c.ways]
-		v, min := 0, stamps[0]
-		for i := 1; i < len(stamps); i++ {
-			if stamps[i] < min {
-				v, min = i, stamps[i]
-			}
-		}
-		victim = base + v
+	var way int
+	if invalid >= 0 {
+		way = invalid
+		c.touch(set, way)
+	} else {
+		r := c.recency[set]
+		way = int(r >> c.lruShift)
+		c.recency[set] = r<<4&c.recMask | uint64(way)
 	}
+	victim := int(set)*c.ways + way
 	var ev *Eviction
 	if c.flags[victim]&(fValid|fDirty) == fValid|fDirty {
 		c.stats.Evictions++
@@ -285,7 +310,6 @@ func (c *Cache) fill(set uint64, invalid int, tag uint64, dirty bool, meta uint8
 		ev = &c.ev
 	}
 	c.tags[victim] = tag
-	c.stamps[victim] = c.tick
 	c.meta[victim] = meta
 	if dirty {
 		c.flags[victim] = fValid | fDirty
@@ -316,10 +340,11 @@ func (c *Cache) Invalidate(a mem.Addr) *Eviction {
 	return nil
 }
 
-// clearSlot resets one line slot to the invalid state.
+// clearSlot resets one line slot to the invalid state. Its recency
+// nibble stays where it is: an invalid way is always chosen before the
+// recency order is consulted, and refilling it moves it to the front.
 func (c *Cache) clearSlot(s int) {
 	c.tags[s] = 0
-	c.stamps[s] = 0
 	c.flags[s] = 0
 	c.meta[s] = 0
 }

@@ -16,6 +16,7 @@ package sim
 import (
 	"fmt"
 
+	"banshee/internal/cache"
 	"banshee/internal/dram"
 	"banshee/internal/errs"
 	"banshee/internal/mc"
@@ -153,9 +154,31 @@ func (c Config) validate() error {
 		ce = errs.Configf("InstrPerCore", "instruction budget not set")
 	case c.WarmupFrac < 0 || c.WarmupFrac >= 1:
 		ce = errs.Configf("WarmupFrac", "%v out of [0,1)", c.WarmupFrac)
+	default:
+		ce = c.cacheGeometryError()
 	}
 	if ce != nil {
 		return fmt.Errorf("sim: %w", ce)
+	}
+	return nil
+}
+
+// cacheGeometryError checks each SRAM level with cache.Config.Validate,
+// renaming the field at fault to the level's own size or ways field.
+func (c Config) cacheGeometryError() *errs.ConfigError {
+	for _, l := range []struct {
+		level       string
+		bytes, ways int
+	}{{"L1", c.L1Bytes, c.L1Ways}, {"L2", c.L2Bytes, c.L2Ways}, {"L3", c.L3Bytes, c.L3Ways}} {
+		ce := cache.Config{Name: l.level, SizeBytes: l.bytes, Ways: l.ways, LineBytes: mem.LineBytes}.Validate()
+		if ce == nil {
+			continue
+		}
+		field := l.level + "Ways"
+		if ce.Field == "SizeBytes" {
+			field = l.level + "Bytes"
+		}
+		return &errs.ConfigError{Field: field, Reason: ce.Reason}
 	}
 	return nil
 }

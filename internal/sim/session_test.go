@@ -84,9 +84,14 @@ func TestStepEqualsRunWorkloadKinds(t *testing.T) {
 	}, cfg.InstrPerCore); err != nil {
 		t.Fatal(err)
 	}
-	for _, wl := range []string{"mcf", "mix1", "pagerank_kernel", workload.FilePrefix + tracePath} {
-		wl := wl
-		t.Run(wl, func(t *testing.T) {
+	// The trace subtest is named after the file, not its temp-dir path,
+	// so the test name is the same every run.
+	for _, tc := range []struct{ name, wl string }{
+		{"mcf", "mcf"}, {"mix1", "mix1"}, {"pagerank_kernel", "pagerank_kernel"},
+		{workload.FilePrefix + "mcf.btrc", workload.FilePrefix + tracePath},
+	} {
+		wl := tc.wl
+		t.Run(tc.name, func(t *testing.T) {
 			cfg := sessionTestConfig(wl)
 			oneShot, err := Run(cfg, wl, "Banshee")
 			if err != nil {

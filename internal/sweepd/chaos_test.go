@@ -190,9 +190,12 @@ func TestDaemonSubmitBackpressure429(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wait until sweep A is actually running (has landed a record), so
-	// it no longer counts against the queue.
-	waitForBytes(t, d.Store().ResultsPath(stA.ID), 1)
+	// Wait until sweep A holds the run slot, so it no longer counts
+	// against the queue.
+	waitFor(t, func() bool {
+		st, err := c.Status(ctx, stA.ID)
+		return err == nil && st.State == StateRunning
+	})
 
 	queued := long("svc-shed-b", 2)
 	stB, err := c.Submit(ctx, queued)

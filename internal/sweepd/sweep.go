@@ -67,6 +67,7 @@ type sweep struct {
 	runCtx    context.Context
 	cancel    context.CancelFunc
 	cancelled atomic.Bool   // user-requested cancel (vs daemon shutdown)
+	slotted   atomic.Bool   // holds a run slot: running, not queued
 	finished  chan struct{} // closed when the run goroutine exits
 
 	// Engine counters, read live for /status. The engine registers
@@ -82,7 +83,8 @@ type sweep struct {
 	final *Status // terminal status, once reached
 }
 
-// status renders the sweep's current externally visible state.
+// status renders the sweep's current externally visible state: queued
+// until the sweep holds a run slot, running from then on.
 func (sw *sweep) status() Status {
 	sw.mu.Lock()
 	if sw.final != nil {
@@ -99,7 +101,7 @@ func (sw *sweep) status() Status {
 		st.Done = int(sw.cDone.Value() + sw.cReused.Value() - sw.baseDone - sw.baseReused)
 		st.Failed = int(sw.cFailed.Value() - sw.baseFailed)
 	}
-	if st.Done == 0 && st.Failed == 0 {
+	if !sw.slotted.Load() {
 		st.State = StateQueued
 	}
 	return st
@@ -127,6 +129,7 @@ func (d *Daemon) run(sw *sweep) {
 	// queues instead of oversubscribing the host.
 	select {
 	case d.sem <- struct{}{}:
+		sw.slotted.Store(true)
 		defer func() { <-d.sem }()
 	case <-ctx.Done():
 		d.finish(sw, nil, ctx.Err())
