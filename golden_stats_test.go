@@ -57,6 +57,12 @@ func goldenSchemes() []string {
 	}
 }
 
+// goldenPrefetchSchemes run again with the L2 stream prefetcher on
+// (PrefetchDegree 2), keyed "<scheme> pf2 | <workload>": Banshee copies
+// the trigger's TLB mapping onto its prefetches (§3.2), Alloy does not
+// look at it.
+var goldenPrefetchSchemes = []string{"Banshee", "Alloy 1"}
+
 func TestGoldenStats(t *testing.T) {
 	got := make(map[string]banshee.Result)
 	for _, scheme := range goldenSchemes() {
@@ -66,6 +72,17 @@ func TestGoldenStats(t *testing.T) {
 				t.Fatalf("%s × %s: %v", scheme, w, err)
 			}
 			got[scheme+" | "+w] = res
+		}
+	}
+	for _, scheme := range goldenPrefetchSchemes {
+		for _, w := range goldenWorkloads {
+			cfg := goldenConfig()
+			cfg.PrefetchDegree = 2
+			res, err := banshee.Run(cfg, w, scheme)
+			if err != nil {
+				t.Fatalf("%s pf2 × %s: %v", scheme, w, err)
+			}
+			got[scheme+" pf2 | "+w] = res
 		}
 	}
 	data, err := json.MarshalIndent(got, "", "  ")
