@@ -43,12 +43,23 @@ func gangConfig() banshee.Config {
 // WarmupFrac stays on, so each lane's warmup→measure transition is
 // exercised at its own pace inside the lockstep gang.
 func TestGangLaneIdentity(t *testing.T) {
-	schemes := []string{"NoCache", "Alloy 1", "TDC", "Unison"}
-	workloads := []string{"mcf", "pagerank_kernel"}
-	for _, scheme := range schemes {
-		for _, w := range workloads {
-			t.Run(scheme+"/"+w, func(t *testing.T) {
-				g, err := banshee.NewGangSession(gangConfig(), w, scheme, gangSeeds())
+	type row struct {
+		scheme string
+		cfg    banshee.Config
+	}
+	var rows []row
+	for _, scheme := range []string{"NoCache", "Alloy 1", "TDC", "Unison"} {
+		rows = append(rows, row{scheme, gangConfig()})
+	}
+	hma := gangConfig()
+	hma.Cores = 4
+	hma.InstrPerCore = 200_000
+	rows = append(rows, row{"HMA", hma})
+
+	for _, r := range rows {
+		for _, w := range []string{"mcf", "pagerank_kernel"} {
+			t.Run(r.scheme+"/"+w, func(t *testing.T) {
+				g, err := banshee.NewGangSession(r.cfg, w, r.scheme, gangSeeds())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -57,9 +68,9 @@ func TestGangLaneIdentity(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i, seed := range gangSeeds() {
-					cfg := gangConfig()
+					cfg := r.cfg
 					cfg.Seed = seed
-					want, err := banshee.Run(cfg, w, scheme)
+					want, err := banshee.Run(cfg, w, r.scheme)
 					if err != nil {
 						t.Fatal(err)
 					}

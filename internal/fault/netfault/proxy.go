@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"banshee/internal/util"
 )
 
 // ProxyPlan configures a chaos Proxy: what fraction of proxied TCP
@@ -161,7 +163,7 @@ func (p *Proxy) partitioned() bool {
 func (p *Proxy) faultsFor(idx uint64) (cut, stall bool) {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "proxy|%d|%d", p.plan.Seed, idx)
-	r := roll(h.Sum64())
+	r := util.Roll(h.Sum64())
 	if r < p.plan.CutRate {
 		return true, false
 	}

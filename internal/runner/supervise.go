@@ -13,6 +13,7 @@ import (
 	"banshee/internal/errs"
 	"banshee/internal/sim"
 	"banshee/internal/stats"
+	"banshee/internal/util"
 )
 
 // JobRunner executes one resolved job. The engine's default simulates
@@ -69,7 +70,8 @@ func (p RetryPolicy) Attempts() int {
 
 // Delay returns the backoff before retry `attempt` (1-based: the delay
 // after the attempt-th failure). Jitter multiplies the exponential
-// delay by a factor in [0.5, 1.0) hashed from (jobID, attempt), so
+// delay by a factor in [0.5, 1.0) hashed from (jobID, attempt) through
+// util.Roll, so successive attempts draw independent factors and
 // concurrent failing jobs de-synchronize without perturbing any RNG
 // the simulations use — determinism of results is untouched.
 func (p RetryPolicy) Delay(jobID string, attempt int) time.Duration {
@@ -85,7 +87,7 @@ func (p RetryPolicy) Delay(jobID string, attempt int) time.Duration {
 	}
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s|%d", jobID, attempt)
-	frac := float64(h.Sum64()>>11) / (1 << 53) // [0,1)
+	frac := util.Roll(h.Sum64())
 	return d/2 + time.Duration(frac*float64(d/2))
 }
 

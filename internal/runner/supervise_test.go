@@ -316,6 +316,22 @@ func TestRetryBackoffDeterministicJitter(t *testing.T) {
 	}
 }
 
+// TestRetryJitterSpreadsAcrossAttempts: successive retries of one job
+// draw independent jitter factors. With the delay pinned at MaxDelay
+// the factor is (Delay - d/2) / (d/2); keys differing only in the
+// trailing attempt digit must not land on (nearly) the same factor.
+func TestRetryJitterSpreadsAcrossAttempts(t *testing.T) {
+	p := RetryPolicy{MaxAttempts: 7, BaseDelay: time.Second, MaxDelay: time.Second}
+	lo, hi := 1.0, 0.0
+	for attempt := 1; attempt <= 6; attempt++ {
+		f := float64(p.Delay("job-a", attempt)-p.MaxDelay/2) / float64(p.MaxDelay/2)
+		lo, hi = min(lo, f), max(hi, f)
+	}
+	if hi-lo < 0.25 {
+		t.Fatalf("jitter factors of attempts 1-6 span only %.3g (%.6f..%.6f)", hi-lo, lo, hi)
+	}
+}
+
 // TestSinkCRCTruncatesAtBadRecord: per-record checksums turn interior
 // corruption — not just a torn tail — into a clean truncate-and-retry
 // on resume, with the drop count reported.

@@ -3,74 +3,29 @@ package sim
 import (
 	"context"
 	"fmt"
-	"io"
 	"math"
 
-	"banshee/internal/cache"
-	"banshee/internal/dram"
-	"banshee/internal/mem"
 	"banshee/internal/registry"
 	"banshee/internal/stats"
-	"banshee/internal/util"
-	"banshee/internal/vm"
-	"banshee/internal/workload"
 )
 
 // Gang execution (DESIGN.md §12): N simulations of the same workload
-// stream run in lockstep as lanes of one Gang. The insight is that for
-// schemes that never touch the shared VM substrate, everything up to
-// the L2 boundary — trace generation, TLB/page-table translation, and
-// the per-core L1/L2 caches — is a pure function of the per-core event
-// stream, independent of the lane's seed and back-end timing. The Gang
-// therefore runs that front end ONCE, records each event's back-end-
-// visible residue (gap, hit/miss bits, the L3 fill addresses the L2
-// victims produce, and the demand address of each LLC access), and
-// replays the residue through N exact per-lane back ends: per-lane L3,
-// scheme, DRAM timing, MSHR/dependence stalls, and the event-ordered
-// core scheduler. Every lane's statistics are byte-identical to the
-// same config run alone — the lane IS a System, reusing Step verbatim
-// — while the shared front end amortizes the majority of per-event
-// work across the gang.
+// stream run in lockstep as lanes of one Gang. For schemes that never
+// touch the shared VM substrate, the front end (frontend.go) is a pure
+// function of the per-core event stream, independent of the lane's
+// seed and back-end timing. The Gang therefore runs it ONCE, records
+// each event's gap, flags and residue, and replays the record through N
+// back ends: each lane is a System whose step reads the recorded stream
+// instead of calling the front end, so every lane's statistics are
+// byte-identical to the same config run alone while the front-end work
+// is amortized across the gang.
 
-// Per-event flag bits recorded by the shared front end. An event
-// carries a residual record iff any of feFill0/feFill1/feL2Miss is set.
-const (
-	feTLBMiss = 1 << iota // translation missed the TLB (page-walk cost)
-	feL1Miss              // missed L1 → L2 accessed
-	feL2Miss              // missed L2 → LLC accessed (residual addr valid)
-	feLarge               // the access resolves on a 2 MB page
-	feWrite               // the demand access is a write
-	feFill0               // L1-evict cascade produced an L3 fill (fill[0])
-	feFill1               // the L2 victim produced an L3 fill (fill[1])
-
-	feHasRes = feFill0 | feFill1 | feL2Miss
-)
-
-// fillRec is one dirty line the shared front end pushed out of L2; each
-// lane fills it into its own L3.
-type fillRec struct {
-	addr mem.Addr
-	meta uint8
-}
-
-// resRec is the sparse per-event residue: the demand address (valid on
-// feL2Miss) and up to two L3 fills, in the exact order the independent
-// path would apply them (fill[0] from the L1-evict cascade through
-// l2.Fill, then — only on an L2 miss — fill[1] from the L2 victim).
-type resRec struct {
-	addr mem.Addr
-	fill [2]fillRec
-}
-
-// feCore is one core's shared front end: its private L1/L2/TLB replica
-// plus the recorded event stream in SoA form (gaps and flags dense,
-// residues sparse). base/resBase are the global indices of element 0 —
-// the stream is trimmed to the slowest lane's cursor as the gang
-// advances, so memory stays bounded by lane skew, not run length.
-type feCore struct {
-	l1, l2 *cache.Cache
-	tlb    *vm.TLB
-
+// coreStream is one core's recorded front-end stream in SoA form (gaps
+// and flags dense, residues sparse). base/resBase are the global
+// indices of element 0 — the stream is trimmed to the slowest lane's
+// cursor as the gang advances, so memory stays bounded by lane skew,
+// not run length.
+type coreStream struct {
 	gaps    []uint32
 	flags   []uint8
 	res     []resRec
@@ -88,19 +43,16 @@ type feCore struct {
 // this stay in place so trimming costs amortized O(1) per event.
 const trimSlack = 8192
 
-// gangStream is the shared front end: one workload source, one page
-// table, and one feCore per simulated core, generating each core's
-// event residue on demand as the fastest lane reaches it.
+// gangStream is the shared front end and its recorded stream, one
+// coreStream per simulated core, generated on demand as the fastest
+// lane reaches it.
 type gangStream struct {
-	src workload.Source
-	pt  *vm.PageTable
-	fe  []feCore
+	fe *frontEnd
+	cs []coreStream
 	// budget is the per-core instruction budget (identical across lanes
 	// — InstrPerCore is part of GangKey); generation stops at the event
 	// that crosses it, which is the last event any lane consumes.
 	budget uint64
-
-	closed bool
 }
 
 // genAhead is the generation chunk: when the lead lane touches the end
@@ -109,83 +61,30 @@ type gangStream struct {
 // core-private events even for the lane driving generation.
 const genAhead = 256
 
-// newGangStream builds the front end for base (the gang's shared
-// config shape) over an already-opened source.
-func newGangStream(base Config, cores int, src workload.Source) *gangStream {
-	pt := vm.NewPageTable()
-	pt.DefaultLarge = base.LargePages
-	g := &gangStream{src: src, pt: pt, fe: make([]feCore, cores), budget: base.InstrPerCore}
-	for i := 0; i < cores; i++ {
-		f := &g.fe[i]
-		f.l1 = cache.New(cache.Config{
-			Name: fmt.Sprintf("L1d-%d", i), SizeBytes: base.L1Bytes, Ways: base.L1Ways,
-			LineBytes: mem.LineBytes, Policy: cache.LRU, Seed: base.Seed + uint64(i),
-		})
-		f.l2 = cache.New(cache.Config{
-			Name: fmt.Sprintf("L2-%d", i), SizeBytes: base.L2Bytes, Ways: base.L2Ways,
-			LineBytes: mem.LineBytes, Policy: cache.LRU, Seed: base.Seed + uint64(i),
-		})
-		f.tlb = vm.NewTLB(base.TLBEntries)
-	}
-	return g
-}
-
-// gen simulates one more front-end event for core f, appending its
-// residue to the stream. The order of operations replicates
-// System.step up to the L3 boundary exactly, including the scratch-
-// eviction contract: l2.Fill's eviction is copied out before l2.Access
-// reuses the scratch slot.
-func (g *gangStream) gen(f *feCore, coreID int) {
-	ev := g.src.Next(coreID)
-	if uint64(ev.Gap) > math.MaxUint32 {
-		panic(fmt.Sprintf("sim: gang front end: event gap %d overflows the stream encoding", ev.Gap))
-	}
-	var flags uint8
+// gen runs one more front-end event of core id and records it.
+func (g *gangStream) gen(id int) {
 	var r resRec
-	pte, tlbHit := f.tlb.Lookup(ev.Addr, g.pt)
-	if !tlbHit {
-		flags |= feTLBMiss
+	gap, flags := g.fe.access(id, &r)
+	if uint64(gap) > math.MaxUint32 {
+		panic(fmt.Sprintf("sim: gang front end: event gap %d overflows the stream encoding", gap))
 	}
-	meta := lineMeta(pte.Size)
-	if pte.Size == mem.Page2M {
-		flags |= feLarge
-	}
-	if ev.Write {
-		flags |= feWrite
-	}
-	if hit, ev1 := f.l1.Access(ev.Addr, ev.Write, meta); !hit {
-		flags |= feL1Miss
-		if ev1 != nil {
-			if evf := f.l2.Fill(ev1.Addr, true, ev1.Meta); evf != nil {
-				flags |= feFill0
-				r.fill[0] = fillRec{addr: evf.Addr, meta: evf.Meta}
-			}
-		}
-		if hit2, ev2 := f.l2.Access(ev.Addr, false, meta); !hit2 {
-			flags |= feL2Miss
-			r.addr = ev.Addr
-			if ev2 != nil {
-				flags |= feFill1
-				r.fill[1] = fillRec{addr: ev2.Addr, meta: ev2.Meta}
-			}
-		}
-	}
-	f.gaps = append(f.gaps, uint32(ev.Gap))
-	f.flags = append(f.flags, flags)
-	f.genInstr += uint64(ev.Gap) + 1
+	cs := &g.cs[id]
+	cs.gaps = append(cs.gaps, uint32(gap))
+	cs.flags = append(cs.flags, flags)
+	cs.genInstr += uint64(gap) + 1
 	if flags&feHasRes != 0 {
-		f.res = append(f.res, r)
+		cs.res = append(cs.res, r)
 	}
 }
 
-// event returns core coreID's event at the lane cursor c, generating
-// it first if no lane has reached it yet. r is non-nil iff the event
-// carries a residual record (feHasRes).
-func (g *gangStream) event(c *core) (gap uint32, flags uint8, r *resRec) {
-	f := &g.fe[c.id]
-	i := c.evIdx - f.base
-	for i >= uint64(len(f.gaps)) {
-		g.gen(f, c.id)
+// event returns core c's event at its lane cursor and advances the
+// cursor, generating the event first if no lane has reached it yet. r
+// is non-nil iff the event carries a residue (feHasRes).
+func (g *gangStream) event(c *core) (gap int, flags uint8, r *resRec) {
+	cs := &g.cs[c.id]
+	i := c.evIdx - cs.base
+	for i >= uint64(len(cs.gaps)) {
+		g.gen(c.id)
 	}
 	// Generate ahead in chunks: every lane consumes the same event
 	// prefix (retirement is purely gap-driven, so all lanes cross the
@@ -193,22 +92,24 @@ func (g *gangStream) event(c *core) (gap uint32, flags uint8, r *resRec) {
 	// the budget will be consumed. Materializing a chunk here lets the
 	// lead lane batch-replay runs instead of generating one event per
 	// step; trailing lanes see the events regardless.
-	for uint64(len(f.gaps))-i < genAhead && f.genInstr < g.budget {
-		g.gen(f, c.id)
+	for uint64(len(cs.gaps))-i < genAhead && cs.genInstr < g.budget {
+		g.gen(c.id)
 	}
-	gap, flags = f.gaps[i], f.flags[i]
+	c.evIdx++
+	flags = cs.flags[i]
 	if flags&feHasRes != 0 {
-		r = &f.res[c.resIdx-f.resBase]
+		r = &cs.res[c.resIdx-cs.resBase]
+		c.resIdx++
 	}
-	return gap, flags, r
+	return int(cs.gaps[i]), flags, r
 }
 
 // trim drops stream prefixes every lane has consumed, keeping gang
 // memory proportional to lane skew (bounded by the step quantum)
 // instead of run length.
 func (g *gangStream) trim(lanes []*System) {
-	for ci := range g.fe {
-		f := &g.fe[ci]
+	for ci := range g.cs {
+		f := &g.cs[ci]
 		minEv, minRes := ^uint64(0), ^uint64(0)
 		for _, l := range lanes {
 			c := l.cores[ci]
@@ -231,75 +132,11 @@ func (g *gangStream) trim(lanes []*System) {
 	}
 }
 
-// close releases the shared source; idempotent.
-func (g *gangStream) close() {
-	if g.closed {
-		return
-	}
-	g.closed = true
-	if c, ok := g.src.(io.Closer); ok {
-		c.Close()
-	}
-}
-
-// stepShared is the gang-lane body of System.step: it replays one
-// recorded front-end event through this lane's back end, preserving
-// the independent path's exact operation order — retirement and clock
-// arithmetic, page-walk charge, counter increments, the two possible
-// L3 fills, the LLC access, and the miss path with MSHR and
-// dependence-stall behavior (the lane's own RNG draws in its own miss
-// order, exactly as an independent run would).
-func (s *System) stepShared(c *core) {
-	gap, flags, r := s.shared.event(c)
-	c.evIdx++
-	c.fract += int(gap)
-	c.time += uint64(c.fract / s.cfg.IssueWidth)
-	c.fract %= s.cfg.IssueWidth
-	c.retired += uint64(gap) + 1
-
-	if flags&feTLBMiss != 0 {
-		c.time += s.cost.PageWalkCycles
-	}
-	size := mem.Page4K
-	if flags&feLarge != 0 {
-		size = mem.Page2M
-	}
-	s.st.L1Accesses++
-	if flags&feL1Miss == 0 {
-		return
-	}
-	if r != nil {
-		c.resIdx++
-	}
-	s.st.L1Misses++
-	if flags&feFill0 != 0 {
-		s.fillL3(c, r.fill[0].addr, true, r.fill[0].meta)
-	}
-	s.st.L2Accesses++
-	if flags&feL2Miss == 0 {
-		return
-	}
-	s.st.L2Misses++
-	if flags&feFill1 != 0 {
-		s.fillL3(c, r.fill[1].addr, true, r.fill[1].meta)
-	}
-	s.st.LLCAccesses++
-	if hit3, ev3 := s.l3.Access(r.addr, false, lineMeta(size)); !hit3 {
-		if ev3 != nil {
-			s.evictToMC(c, ev3)
-		}
-		// The zero-valued PTE fields reproduce what an inert-scheme
-		// independent run passes here: gang-safe schemes never set
-		// Cached/Way, so only Size matters. pte.Mapping() is identical.
-		s.llcMiss(c, r.addr, flags&feWrite != 0, vm.PTE{Size: size})
-	}
-}
-
 // batchShared replays, in one aggregate update, the run of already-
 // generated events at c's cursor that touch no lane state beyond
 // counters and the core clock: L1 hits, and L2 hits whose L1-evict
 // cascade produced no L3 fill (flags clear of feFill0|feL2Miss — such
-// events carry no residual record and never reach the lane's L3).
+// events carry no residue and never reach the lane's L3).
 //
 // Identity argument: for these events the per-event updates are
 // exactly associative — the clock advance over k events with gap sum G
@@ -319,7 +156,7 @@ func (s *System) batchShared(c *core) {
 	if s.epochFn != nil || (!s.warmed && s.warmTarget > 0) {
 		return
 	}
-	f := &s.shared.fe[c.id]
+	f := &s.shared.cs[c.id]
 	i := c.evIdx - f.base
 	n := uint64(len(f.gaps))
 	var k, l1m, walks, gapSum uint64
@@ -356,11 +193,11 @@ func (s *System) batchShared(c *core) {
 // gang, returning nil or the disqualifying reason. Two conditions: the
 // scheme must be registered gang-safe (it never touches the shared VM
 // substrate — see registry.Scheme.GangSafe), and the prefetcher must
-// be off (prefetch issue decisions depend on per-lane core clocks, so
-// a shared front end cannot replay them).
+// be off (it observes every L2 access, but the recorded stream keeps
+// the demand address of LLC accesses only).
 func GangEligible(cfg Config) error {
 	if cfg.PrefetchDegree != 0 {
-		return fmt.Errorf("sim: gang: PrefetchDegree %d is lane-variant (prefetch timing depends on per-lane clocks); only 0 is gang-eligible", cfg.PrefetchDegree)
+		return fmt.Errorf("sim: gang: PrefetchDegree %d needs the demand address of L2 hits, which the gang stream does not record; only 0 is gang-eligible", cfg.PrefetchDegree)
 	}
 	if !registry.GangSafe(cfg.Scheme) {
 		return fmt.Errorf("sim: gang: scheme kind %q is not registered gang-safe (it may touch the shared VM substrate)", cfg.Scheme.Kind)
@@ -387,8 +224,8 @@ func GangKey(cfg Config) string {
 // Gang is a set of simulations (lanes) advancing in lockstep over one
 // shared front-end replay. Each lane is a full System producing
 // statistics byte-identical to the same config run alone; the gang
-// owns the shared workload source and the recorded stream. Like
-// Session, a Gang is a single-goroutine object.
+// owns the recorded stream, and the lanes share the front end's
+// workload source. Like Session, a Gang is a single-goroutine object.
 type Gang struct {
 	lanes  []*System
 	gs     *gangStream
@@ -423,27 +260,21 @@ func NewGang(cfgs []Config) (*Gang, error) {
 				i, GangKey(cfgs[i]), key)
 		}
 	}
-	base := cfgs[0]
-	src, err := workload.Open(base.Workload, workload.Config{
-		Cores: base.Cores, Seed: base.workloadSeed(), Scale: base.Scale, Intensity: base.Intensity,
-	})
+	fe, err := openFrontEnd(cfgs[0])
 	if err != nil {
 		return nil, err
 	}
-	cores := base.Cores
-	if cores == 0 {
-		cores = src.Cores()
-	}
-	gs := newGangStream(base, cores, src)
-	g := &Gang{gs: gs}
+	defer fe.release() // the lanes hold the source from here on
+	g := &Gang{gs: &gangStream{fe: fe, cs: make([]coreStream, len(fe.cores)), budget: cfgs[0].InstrPerCore}}
 	for i := range cfgs {
 		cfg := cfgs[i]
-		cfg.Cores = cores
-		lane, err := newGangLane(cfg, gs)
+		cfg.Cores = len(fe.cores)
+		lane, err := newSystem(cfg, fe, nil, nil)
 		if err != nil {
-			gs.close()
+			g.Close()
 			return nil, fmt.Errorf("sim: gang lane %d: %w", i, err)
 		}
+		lane.shared = g.gs
 		g.lanes = append(g.lanes, lane)
 	}
 	return g, nil
@@ -480,51 +311,6 @@ func NewGangSeeds(cfg Config, workloadName, scheme string, seeds []uint64) (*Gan
 	return NewGang(cfgs)
 }
 
-// newGangLane assembles one lane: a System without its own front end —
-// no workload source of its own, no per-core L1/L2/TLB, no page table
-// — wired to the gang's shared stream. Gang-safe schemes never touch
-// the VM substrate, so the scheme builds against a nil page table and
-// TLB set.
-func newGangLane(cfg Config, gs *gangStream) (*System, error) {
-	s := &System{
-		cfg:    cfg,
-		work:   gs.src,
-		shared: gs,
-		rng:    util.NewRNG(cfg.Seed ^ 0x51A1),
-		cost:   vm.DefaultCostModel(cfg.CPUMHz),
-	}
-	s.l3 = cache.New(cache.Config{
-		Name: "L3", SizeBytes: cfg.L3Bytes, Ways: cfg.L3Ways,
-		LineBytes: mem.LineBytes, Policy: cache.LRU, Seed: cfg.Seed,
-	})
-	for i := 0; i < cfg.Cores; i++ {
-		s.cores = append(s.cores, &core{id: i})
-	}
-	scheme, err := buildScheme(cfg, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	s.scheme = scheme
-	inCfg, offCfg := dramConfigs(cfg)
-	s.inPkg = dram.New(inCfg)
-	s.offPkg = dram.New(offCfg)
-	s.st.Workload = cfg.Workload
-	s.st.Scheme = scheme.Name()
-	s.totalBudget = cfg.InstrPerCore * uint64(len(s.cores))
-	s.warmTarget = uint64(float64(s.totalBudget) * cfg.WarmupFrac)
-	// Latched replay failures surface through the shared source: every
-	// lane binds the same surfaces, so a corrupt or wrapped stream
-	// fails all lanes with the same typed error an independent run of
-	// the same config would report.
-	if e, ok := gs.src.(interface{ Err() error }); ok {
-		s.srcErr = e.Err
-	}
-	if wr, ok := gs.src.(interface{ Wrapped() bool }); ok {
-		s.srcWrapped = wr.Wrapped
-	}
-	return s, nil
-}
-
 // Width returns the number of lanes.
 func (g *Gang) Width() int { return len(g.lanes) }
 
@@ -551,15 +337,12 @@ func (g *Gang) Step(n uint64) (done bool, err error) {
 		}
 	}
 	g.gs.trim(g.lanes)
-	if all {
-		g.done = true
-		g.gs.close()
-	}
+	g.done = all
 	return all, nil
 }
 
-// fail terminates the gang: every still-running lane fails with err
-// and the shared source is released.
+// fail terminates the gang: every still-running lane fails with err,
+// which releases the shared source once no lane holds it.
 func (g *Gang) fail(err error) {
 	if g.runErr == nil {
 		g.runErr = err
@@ -569,7 +352,6 @@ func (g *Gang) fail(err error) {
 			l.fail(err)
 		}
 	}
-	g.gs.close()
 }
 
 // Run drives all lanes to completion under ctx and returns one final
@@ -632,10 +414,6 @@ func (g *Gang) Progress() Progress {
 	return p
 }
 
-// LaneSnapshot captures lane i's current measurement window; see
-// System.Snapshot for windowing semantics.
-func (g *Gang) LaneSnapshot(i int) stats.Snapshot { return g.lanes[i].Snapshot() }
-
 // Err returns the gang's terminal error, if any.
 func (g *Gang) Err() error { return g.runErr }
 
@@ -643,6 +421,8 @@ func (g *Gang) Err() error { return g.runErr }
 // Completed and failed gangs release themselves; Close is for
 // abandoning a gang early. Idempotent.
 func (g *Gang) Close() error {
-	g.gs.close()
+	for _, l := range g.lanes {
+		l.closeSource()
+	}
 	return nil
 }

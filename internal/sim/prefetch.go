@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"banshee/internal/mem"
-	"banshee/internal/vm"
-)
+import "banshee/internal/mem"
 
 // Prefetcher implements the L2-and-below hardware stream prefetcher the
 // paper's §3.2 discusses as a complication for PTE/TLB-based mapping:
@@ -93,10 +90,10 @@ func (p *Prefetcher) Observe(addr mem.Addr, tick uint64) []mem.Addr {
 
 // issuePrefetches runs the prefetch addresses through L3 and, for L3
 // misses, to the memory controller as non-critical reads carrying the
-// triggering PTE's mapping. Prefetches never count toward DRAM-cache
+// triggering access's mapping. Prefetches never count toward DRAM-cache
 // hit/miss statistics (they are not demand).
-func (s *System) issuePrefetches(c *core, addrs []mem.Addr, pte vm.PTE) {
-	meta := lineMeta(pte.Size)
+func (s *System) issuePrefetches(c *core, addrs []mem.Addr, size mem.PageSize, mp mem.Mapping) {
+	meta := lineMeta(size)
 	for _, a := range addrs {
 		if hit, ev := s.l3.Access(a, false, meta); hit {
 			continue
@@ -107,8 +104,8 @@ func (s *System) issuePrefetches(c *core, addrs []mem.Addr, pte vm.PTE) {
 		req := mem.Request{
 			Addr:    a,
 			Core:    c.id,
-			Size:    pte.Size,
-			Mapping: pte.Mapping(), // §3.2: copy the trigger's mapping
+			Size:    size,
+			Mapping: mp, // §3.2: copy the trigger's mapping
 		}
 		res := s.scheme.Access(req)
 		// Prefetches are bandwidth, not latency: demote every op to the

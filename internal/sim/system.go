@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"banshee/internal/cache"
 	"banshee/internal/dram"
@@ -13,7 +12,6 @@ import (
 	"banshee/internal/stats"
 	"banshee/internal/util"
 	"banshee/internal/vm"
-	"banshee/internal/workload"
 )
 
 // core is one simulated CPU's replay state.
@@ -28,26 +26,25 @@ type core struct {
 	retired     uint64   // instructions retired
 	done        bool
 
-	l1, l2   *cache.Cache
-	tlb      *vm.TLB
 	prefetch *Prefetcher // nil when disabled
 
 	// Gang lane cursors into the shared front-end stream (gang.go).
 	// Unused (zero) on the independent N=1 path.
 	evIdx  uint64 // next event index in this core's shared stream
-	resIdx uint64 // next residual record in this core's shared stream
+	resIdx uint64 // next residue in this core's shared stream
 }
 
-// System is a fully assembled simulation. Build with NewSystem, drive
-// incrementally with Step (or to completion with Run); Session is the
-// managed handle most callers want. Not safe for concurrent use; run
-// distinct Systems in parallel instead.
+// System is a fully assembled simulation: the back end of the
+// core/controller cut — L3, scheme, DRAM timing, and the per-core
+// clocks, MSHRs and dependence stalls — over a front end it replays.
+// Build with NewSystem, drive incrementally with Step (or to completion
+// with Run); Session is the managed handle most callers want. Not safe
+// for concurrent use; run distinct Systems in parallel instead.
 type System struct {
 	cfg    Config
-	work   workload.Source
+	fe     *frontEnd
 	cores  []*core
 	l3     *cache.Cache
-	pt     *vm.PageTable
 	scheme mc.Scheme
 	inPkg  *dram.DRAM
 	offPkg *dram.DRAM
@@ -55,9 +52,8 @@ type System struct {
 	cost   vm.CostModel
 
 	// shared, when non-nil, marks this System as one lane of a lockstep
-	// gang: events come from the gang's shared front-end replay instead
-	// of s.work, and the source's lifetime belongs to the Gang, not the
-	// lane. The independent path is untouched when nil.
+	// gang: events come from the gang's recorded stream of fe instead of
+	// fe itself.
 	shared *gangStream
 
 	st       stats.Sim
@@ -116,63 +112,41 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	// Workload streams come from the workload registry: synthetic
 	// generators, graph kernels, and "file:<path>" recorded traces all
-	// resolve to the same Source contract. Cores == 0 adopts the
-	// source's own shape — recorded traces carry their core count, so
-	// callers need not know it up front (synthetic sources require an
-	// explicit count and reject 0).
-	w, err := workload.Open(cfg.Workload, workload.Config{
-		Cores: cfg.Cores, Seed: cfg.workloadSeed(), Scale: cfg.Scale, Intensity: cfg.Intensity,
-	})
+	// resolve to the same Source contract.
+	fe, err := openFrontEnd(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Cores == 0 {
-		cfg.Cores = w.Cores()
-	}
-	pt := vm.NewPageTable()
-	pt.DefaultLarge = cfg.LargePages
+	defer fe.release() // success hands the source to the System
+	cfg.Cores = len(fe.cores)
+	return newSystem(cfg, fe, fe.pt, fe.tlbs)
+}
 
+// newSystem assembles the back end of one run of cfg over front end fe
+// and takes a reference to it. pt and tlbs are the VM substrate handed
+// to the scheme (nil for a gang lane: gang-safe schemes never touch it).
+func newSystem(cfg Config, fe *frontEnd, pt *vm.PageTable, tlbs []*vm.TLB) (*System, error) {
+	scheme, err := buildScheme(cfg, pt, tlbs)
+	if err != nil {
+		return nil, err
+	}
 	s := &System{
-		cfg:  cfg,
-		work: w,
-		pt:   pt,
-		rng:  util.NewRNG(cfg.Seed ^ 0x51A1),
-		cost: vm.DefaultCostModel(cfg.CPUMHz),
+		cfg:    cfg,
+		fe:     fe,
+		scheme: scheme,
+		rng:    util.NewRNG(cfg.Seed ^ 0x51A1),
+		cost:   vm.DefaultCostModel(cfg.CPUMHz),
 	}
 	s.l3 = cache.New(cache.Config{
-		Name: "L3", SizeBytes: cfg.L3Bytes, Ways: cfg.L3Ways,
-		LineBytes: mem.LineBytes, Policy: cache.LRU, Seed: cfg.Seed,
+		Name: "L3", SizeBytes: cfg.L3Bytes, Ways: cfg.L3Ways, LineBytes: mem.LineBytes,
 	})
-	var tlbs []*vm.TLB
 	for i := 0; i < cfg.Cores; i++ {
-		c := &core{
-			id: i,
-			l1: cache.New(cache.Config{
-				Name: fmt.Sprintf("L1d-%d", i), SizeBytes: cfg.L1Bytes, Ways: cfg.L1Ways,
-				LineBytes: mem.LineBytes, Policy: cache.LRU, Seed: cfg.Seed + uint64(i),
-			}),
-			l2: cache.New(cache.Config{
-				Name: fmt.Sprintf("L2-%d", i), SizeBytes: cfg.L2Bytes, Ways: cfg.L2Ways,
-				LineBytes: mem.LineBytes, Policy: cache.LRU, Seed: cfg.Seed + uint64(i),
-			}),
-			tlb: vm.NewTLB(cfg.TLBEntries),
-		}
+		c := &core{id: i}
 		if cfg.PrefetchDegree > 0 {
 			c.prefetch = NewPrefetcher(cfg.PrefetchDegree)
 		}
 		s.cores = append(s.cores, c)
-		tlbs = append(tlbs, c.tlb)
 	}
-	scheme, err := buildScheme(cfg, pt, tlbs)
-	if err != nil {
-		// The source may hold a trace file open; don't leak it on a
-		// failed assembly (success hands ownership to Run's defer).
-		if c, ok := w.(io.Closer); ok {
-			c.Close()
-		}
-		return nil, err
-	}
-	s.scheme = scheme
 	inCfg, offCfg := dramConfigs(cfg)
 	s.inPkg = dram.New(inCfg)
 	s.offPkg = dram.New(offCfg)
@@ -182,13 +156,16 @@ func NewSystem(cfg Config) (*System, error) {
 	s.warmTarget = uint64(float64(s.totalBudget) * cfg.WarmupFrac)
 	// Replayed trace files latch decode errors and wrap-around instead
 	// of panicking mid-run; bind their surfaces once so Step can poll
-	// them without per-call type assertions.
-	if e, ok := w.(interface{ Err() error }); ok {
+	// them without per-call type assertions. Gang lanes bind the shared
+	// source's, so a bad stream fails every lane with the error an
+	// independent run would report.
+	if e, ok := fe.src.(interface{ Err() error }); ok {
 		s.srcErr = e.Err
 	}
-	if wr, ok := w.(interface{ Wrapped() bool }); ok {
+	if wr, ok := fe.src.(interface{ Wrapped() bool }); ok {
 		s.srcWrapped = wr.Wrapped
 	}
+	fe.users++
 	return s, nil
 }
 
@@ -265,9 +242,6 @@ func (q coreQueue) heapify() {
 	}
 }
 
-// Workload returns the source driving the system (diagnostics, tests).
-func (s *System) Workload() workload.Source { return s.work }
-
 // start initializes the scheduling heap; the first Step calls it.
 func (s *System) start() {
 	s.h = make(coreQueue, 0, len(s.cores))
@@ -298,6 +272,7 @@ func (s *System) Step(n uint64) (done bool, err error) {
 		s.start()
 	}
 	target := s.totalRetired + n
+	var res resRec // a single run's residue, rewritten by every event
 	for len(s.h) > 0 && s.totalRetired < target {
 		// Fused pop-push: step the heap top in place and sift it down,
 		// instead of pop → step → push. The (time, id) key is unique, so
@@ -310,7 +285,18 @@ func (s *System) Step(n uint64) (done bool, err error) {
 			c.pending = 0
 		}
 		before := c.retired
-		s.step(c)
+		// Advance c by one event. A single run replays it as soon as its
+		// front end makes it, so a TLB shootdown the back end triggers
+		// lands before the core's next lookup; a gang lane reads it from
+		// the recorded stream.
+		if s.shared == nil {
+			gap, flags := s.fe.access(c.id, &res)
+			s.replay(c, gap, flags, &res)
+		} else {
+			gap, flags, r := s.shared.event(c)
+			s.replay(c, gap, flags, r)
+			s.batchShared(c)
+		}
 		s.totalRetired += c.retired - before
 
 		// warmTarget == 0 (WarmupFrac 0) means no warmup at all: the
@@ -373,21 +359,12 @@ func (s *System) finish() {
 	s.closeSource()
 }
 
-// closeSource releases a source holding external resources (replayed
-// trace files); idempotent. A gang lane's source is shared with its
-// sibling lanes and owned by the Gang, which closes it once all lanes
-// are done — a single lane finishing must not pull it out from under
-// the others.
+// closeSource drops the run's reference to its front end; idempotent.
+// The source itself closes when the last run replaying it lets go.
 func (s *System) closeSource() {
-	if s.closed {
-		return
-	}
-	s.closed = true
-	if s.shared != nil {
-		return
-	}
-	if c, ok := s.work.(io.Closer); ok {
-		c.Close()
+	if !s.closed {
+		s.closed = true
+		s.fe.release()
 	}
 }
 
@@ -531,67 +508,58 @@ func (s *System) fireEpoch() {
 	s.epochFn(snap)
 }
 
-// step advances one core by one trace event.
-func (s *System) step(c *core) {
-	if s.shared != nil {
-		s.stepShared(c)
-		s.batchShared(c)
-		return
-	}
-	ev := s.work.Next(c.id)
+// replay takes one front-end event through core c's back end: the
+// retirement and clock arithmetic, the page-walk charge, the two
+// possible L3 fills, prefetch issue, the LLC access, and the miss path
+// with its MSHR and dependence stalls. r may be nil for an event with
+// no feHasRes bit when no prefetcher is on (a gang's sparse stream).
+func (s *System) replay(c *core, gap int, flags uint8, r *resRec) {
 	// Non-memory instructions retire at IssueWidth.
-	c.fract += ev.Gap
+	c.fract += gap
 	c.time += uint64(c.fract / s.cfg.IssueWidth)
 	c.fract %= s.cfg.IssueWidth
-	c.retired += uint64(ev.Gap) + 1
+	c.retired += uint64(gap) + 1
 
-	// Translate. A TLB miss pays the page-walk cost.
-	pte, tlbHit := c.tlb.Lookup(ev.Addr, s.pt)
-	if !tlbHit {
+	if flags&feTLBMiss != 0 {
 		c.time += s.cost.PageWalkCycles
 	}
-	meta := lineMeta(pte.Size)
-
-	// SRAM hierarchy. Hit latencies are folded into the core model (the
-	// out-of-order window hides them); only LLC misses are timed.
 	s.st.L1Accesses++
-	if hit, ev1 := c.l1.Access(ev.Addr, ev.Write, meta); !hit {
-		s.st.L1Misses++
-		if ev1 != nil {
-			s.fillL2(c, ev1.Addr, true, ev1.Meta)
-		}
-		s.st.L2Accesses++
-		if c.prefetch != nil {
-			if pf := c.prefetch.Observe(ev.Addr, c.time); len(pf) > 0 {
-				s.issuePrefetches(c, pf, pte)
-			}
-		}
-		if hit2, ev2 := c.l2.Access(ev.Addr, false, meta); !hit2 {
-			s.st.L2Misses++
-			if ev2 != nil {
-				s.fillL3(c, ev2.Addr, true, ev2.Meta)
-			}
-			s.st.LLCAccesses++
-			if hit3, ev3 := s.l3.Access(ev.Addr, false, meta); !hit3 {
-				if ev3 != nil {
-					s.evictToMC(c, ev3)
-				}
-				s.llcMiss(c, ev.Addr, ev.Write, pte)
-			}
+	if flags&feL1Miss == 0 {
+		return
+	}
+	s.st.L1Misses++
+	if flags&feFill0 != 0 {
+		s.fillL3(c, r.fill[0], r.fillMeta[0])
+	}
+	s.st.L2Accesses++
+	size := mem.Page4K
+	if flags&feLarge != 0 {
+		size = mem.Page2M
+	}
+	if c.prefetch != nil {
+		if pf := c.prefetch.Observe(r.addr, c.time); len(pf) > 0 {
+			s.issuePrefetches(c, pf, size, r.mapping(flags))
 		}
 	}
-}
-
-// fillL2 pushes an L1 dirty eviction into L2, cascading as needed.
-func (s *System) fillL2(c *core, a mem.Addr, dirty bool, meta uint8) {
-	if ev := c.l2.Fill(a, dirty, meta); ev != nil {
-		s.fillL3(c, ev.Addr, true, ev.Meta)
+	if flags&feL2Miss == 0 {
+		return
+	}
+	s.st.L2Misses++
+	if flags&feFill1 != 0 {
+		s.fillL3(c, r.fill[1], r.fillMeta[1])
+	}
+	s.st.LLCAccesses++
+	if hit3, ev3 := s.l3.Access(r.addr, false, lineMeta(size)); !hit3 {
+		if ev3 != nil {
+			s.evictToMC(c, ev3)
+		}
+		s.llcMiss(c, r.addr, flags&feWrite != 0, size, r.mapping(flags))
 	}
 }
 
 // fillL3 pushes an L2 dirty eviction into the shared L3.
-func (s *System) fillL3(c *core, a mem.Addr, dirty bool, meta uint8) {
-	if ev := s.l3.Fill(a, dirty, meta); ev != nil {
+func (s *System) fillL3(c *core, a mem.Addr, meta uint8) {
+	if ev := s.l3.Fill(a, true, meta); ev != nil {
 		s.evictToMC(c, ev)
 	}
 }
@@ -613,7 +581,7 @@ func (s *System) evictToMC(c *core, ev *cache.Eviction) {
 
 // llcMiss issues a demand miss to the memory controller with
 // MSHR-limited overlap.
-func (s *System) llcMiss(c *core, a mem.Addr, write bool, pte vm.PTE) {
+func (s *System) llcMiss(c *core, a mem.Addr, write bool, size mem.PageSize, mp mem.Mapping) {
 	s.st.LLCMisses++
 	// Retire completed misses; if the window is full, stall to the
 	// earliest completion. drain keeps outMin current, so the stall
@@ -635,8 +603,8 @@ func (s *System) llcMiss(c *core, a mem.Addr, write bool, pte vm.PTE) {
 		Addr:    a,
 		Write:   write,
 		Core:    c.id,
-		Size:    pte.Size,
-		Mapping: pte.Mapping(),
+		Size:    size,
+		Mapping: mp,
 	}
 	start := c.time
 	completion := s.execute(c, req, c.time)

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net"
 	"net/http"
 	"strconv"
@@ -27,6 +28,10 @@ type Client struct {
 	hc          *http.Client
 	retry       runner.RetryPolicy
 	callTimeout time.Duration
+	// jitterKey prefixes every backoff key with a value drawn once per
+	// client, so clients shed by the same overload do not retry the
+	// same call in lockstep.
+	jitterKey string
 }
 
 // ClientOptions tunes the transport a Client is built with. The zero
@@ -105,6 +110,7 @@ func DialWith(addr string, o ClientOptions) (*Client, error) {
 		hc:          &http.Client{Transport: rt},
 		retry:       o.Retry,
 		callTimeout: o.CallTimeout,
+		jitterKey:   strconv.FormatUint(rand.Uint64(), 16),
 	}, nil
 }
 
@@ -141,14 +147,21 @@ func (c *Client) doCall(ctx context.Context, call string, timeout time.Duration,
 			return lastErr
 		}
 		recordRetry(call)
-		d := c.retry.Delay(call+"|"+path, attempt)
-		if ra := retryAfter(lastErr); ra > d {
-			d = ra
-		}
-		if !sleepCtxDone(ctx, d) {
+		if !sleepCtxDone(ctx, c.backoff(call+"|"+path, attempt, lastErr)) {
 			return lastErr
 		}
 	}
+}
+
+// backoff is the wait before retry `attempt` of the call keyed key:
+// the retry policy's jittered delay, or the daemon's Retry-After when
+// err carries a longer one.
+func (c *Client) backoff(key string, attempt int, err error) time.Duration {
+	d := c.retry.Delay(c.jitterKey+"|"+key, attempt)
+	if ra := retryAfter(err); ra > d {
+		d = ra
+	}
+	return d
 }
 
 // doOnce is one attempt of a unary call.
@@ -366,11 +379,7 @@ func (c *Client) stream(ctx context.Context, id, kind string, offset int64, foll
 			return total, err
 		}
 		recordRetry(callStream)
-		d := c.retry.Delay(callStream+"|"+id+"/"+kind, attempt)
-		if ra := retryAfter(err); ra > d {
-			d = ra
-		}
-		if !sleepCtxDone(ctx, d) {
+		if !sleepCtxDone(ctx, c.backoff(callStream+"|"+id+"/"+kind, attempt, err)) {
 			return total, err
 		}
 	}
@@ -409,12 +418,6 @@ func (c *Client) StreamResults(ctx context.Context, id string, offset int64, w i
 // offset until the sweep completes.
 func (c *Client) StreamEpochs(ctx context.Context, id string, offset int64, w io.Writer) (int64, error) {
 	return c.stream(ctx, id, "epochs", offset, true, w)
-}
-
-// FetchResults returns the bytes of the results stream currently on
-// disk (no follow).
-func (c *Client) FetchResults(ctx context.Context, id string, offset int64, w io.Writer) (int64, error) {
-	return c.stream(ctx, id, "results", offset, false, w)
 }
 
 // Results streams the completed sweep's checkpoint to the end and

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -572,5 +573,31 @@ func TestRegistryScopedView(t *testing.T) {
 	snap := reg.Snapshot()
 	if snap[`x_total{sweep="a"}`] != 2 || snap[`x_total{sweep="b"}`] != 1 {
 		t.Fatalf("scoped series wrong: %v", snap)
+	}
+}
+
+// TestClientJitterSpreadsAcrossClients: two clients retrying the same
+// call draw independent jitter factors, so clients shed by one
+// overload do not come back in lockstep. Each client's key is random,
+// so the factors of one attempt coincide by chance (within 0.01) with
+// probability 0.02; all six attempts do so with probability ~1e-10.
+func TestClientJitterSpreadsAcrossClients(t *testing.T) {
+	a, err := Dial("127.0.0.1:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Dial("127.0.0.1:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spread := 0.0
+	for attempt := 1; attempt <= 6; attempt++ {
+		half := a.retry.BaseDelay << (attempt - 1) / 2
+		fa := float64(a.backoff(callSubmit+"|/v1/sweeps", attempt, nil)-half) / float64(half)
+		fb := float64(b.backoff(callSubmit+"|/v1/sweeps", attempt, nil)-half) / float64(half)
+		spread = max(spread, math.Abs(fa-fb))
+	}
+	if spread < 0.01 {
+		t.Fatalf("two clients drew jitter factors within %.3g of each other on every attempt", spread)
 	}
 }

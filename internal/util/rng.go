@@ -84,3 +84,18 @@ func (r *RNG) Perm(n int) []int {
 	}
 	return p
 }
+
+// Roll maps a hash sum to a uniform draw in [0, 1), for decisions keyed
+// by a hash rather than drawn from a stream (fault injection, retry
+// jitter). The sum is run through the murmur3 fmix64 finalizer first:
+// FNV-64a barely avalanches its final input byte, so two keys differing
+// only in a trailing digit (consecutive attempt counters) would land
+// within ~1e-7 of each other and draw the same decision.
+func Roll(x uint64) float64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return float64(x>>11) / (1 << 53)
+}

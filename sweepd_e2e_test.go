@@ -129,7 +129,10 @@ func TestSweepdSIGKILLRestartConvergence(t *testing.T) {
 	golden := goldenBatch(t, m)
 
 	state := filepath.Join(dir, "state")
-	cmd, addr := startSweepd(t, bin, state, filepath.Join(dir, "serve1.log"))
+	// One job at a time, so the SIGKILL below lands while jobs remain:
+	// a sweep that finished before the kill would resume as already done
+	// and never exercise the restarted daemon.
+	cmd, addr := startSweepd(t, bin, state, filepath.Join(dir, "serve1.log"), "-parallel", "1")
 	c, err := banshee.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
