@@ -57,11 +57,30 @@ func goldenSchemes() []string {
 	}
 }
 
-// goldenPrefetchSchemes run again with the L2 stream prefetcher on
-// (PrefetchDegree 2), keyed "<scheme> pf2 | <workload>": Banshee copies
-// the trigger's TLB mapping onto its prefetches (§3.2), Alloy does not
-// look at it.
-var goldenPrefetchSchemes = []string{"Banshee", "Alloy 1"}
+// goldenVariants run a scheme again with non-default knobs, keyed
+// "<scheme> <suffix> | <workload>":
+//   - pf2 turns on the L2 stream prefetcher (PrefetchDegree 2): Banshee
+//     copies the trigger's TLB mapping onto its prefetches (§3.2),
+//     Alloy does not look at it;
+//   - lp backs all data with 2 MB pages (LargePages), so the page
+//     table and TLBs key by large page;
+//   - tb16 shrinks Banshee's tag buffers to 16 entries, so the default
+//     policy flushes them (PTE updates and TLB shootdowns, §3.4), which
+//     it never does at the default size on these short runs.
+var goldenVariants = []struct {
+	scheme, suffix string
+	mutate         func(*banshee.Config)
+}{
+	{"Banshee", "pf2", pf2},
+	{"Alloy 1", "pf2", pf2},
+	{"Banshee", "lp", largePages},
+	{"Banshee", "tb16", tagBuf16},
+	{"Banshee LRU", "lp tb16", func(c *banshee.Config) { largePages(c); tagBuf16(c) }},
+}
+
+func pf2(c *banshee.Config)        { c.PrefetchDegree = 2 }
+func largePages(c *banshee.Config) { c.LargePages = true }
+func tagBuf16(c *banshee.Config)   { c.Scheme.BansheeTagBufEntries = 16 }
 
 func TestGoldenStats(t *testing.T) {
 	got := make(map[string]banshee.Result)
@@ -74,15 +93,16 @@ func TestGoldenStats(t *testing.T) {
 			got[scheme+" | "+w] = res
 		}
 	}
-	for _, scheme := range goldenPrefetchSchemes {
+	for _, v := range goldenVariants {
+		name := v.scheme + " " + v.suffix
 		for _, w := range goldenWorkloads {
 			cfg := goldenConfig()
-			cfg.PrefetchDegree = 2
-			res, err := banshee.Run(cfg, w, scheme)
+			v.mutate(&cfg)
+			res, err := banshee.Run(cfg, w, v.scheme)
 			if err != nil {
-				t.Fatalf("%s pf2 × %s: %v", scheme, w, err)
+				t.Fatalf("%s × %s: %v", name, w, err)
 			}
-			got[scheme+" pf2 | "+w] = res
+			got[name+" | "+w] = res
 		}
 	}
 	data, err := json.MarshalIndent(got, "", "  ")
