@@ -157,6 +157,42 @@ func TestConfigErrorFields(t *testing.T) {
 			_, err := banshee.NewSession(cfg, "pagerank", "Banshee")
 			return err
 		}, "L1Bytes"},
+		{"zero TLB entries", func() error {
+			cfg := errCfg()
+			cfg.TLBEntries = 0
+			_, err := banshee.Run(cfg, "pagerank", "Banshee")
+			return err
+		}, "TLBEntries"},
+		{"negative TLB entries", func() error {
+			cfg := errCfg()
+			cfg.TLBEntries = -4
+			_, err := banshee.Run(cfg, "pagerank", "Banshee")
+			return err
+		}, "TLBEntries"},
+		{"Banshee set count not a power of two", func() error {
+			cfg := errCfg()
+			cfg.Scheme.BansheeWays = 3
+			_, err := banshee.Run(cfg, "pagerank", "Banshee")
+			return err
+		}, "BansheeWays"},
+		{"Banshee 512 ways overflow the mapping bits", func() error {
+			cfg := errCfg()
+			cfg.Scheme.BansheeWays = 512
+			_, err := banshee.Run(cfg, "pagerank", "Banshee")
+			return err
+		}, "BansheeWays"},
+		{"Banshee 1024 ways overflow the mapping bits", func() error {
+			cfg := errCfg()
+			cfg.Scheme.BansheeWays = 1024
+			_, err := banshee.Run(cfg, "pagerank", "Banshee")
+			return err
+		}, "BansheeWays"},
+		{"Banshee tag-buffer set count not a power of two", func() error {
+			cfg := errCfg()
+			cfg.Scheme.BansheeTagBufEntries = 24
+			_, err := banshee.NewSession(cfg, "pagerank", "Banshee")
+			return err
+		}, "BansheeTagBufEntries"},
 		{"trace core-count mismatch", func() error {
 			path := filepath.Join(t.TempDir(), "c.btrc")
 			if err := banshee.RecordTrace(path, "mcf", banshee.RecordOptions{

@@ -3,6 +3,7 @@ package banshee
 import (
 	"fmt"
 
+	"banshee/internal/errs"
 	"banshee/internal/mc"
 	"banshee/internal/mem"
 	"banshee/internal/stats"
@@ -130,24 +131,55 @@ type Banshee struct {
 	ptesSynced uint64
 }
 
-// New builds a Banshee instance bound to the system's page table and
-// TLBs (the software half of the co-design). It panics on invalid
-// geometry — configuration is an experiment-setup concern.
-func New(cfg Config, pt *vm.PageTable, tlbs []*vm.TLB, cost vm.CostModel) *Banshee {
-	if cfg.Ways <= 0 {
-		panic(fmt.Sprintf("banshee: ways must be positive, got %d", cfg.Ways))
+// Validate reports the first rule c breaks as an *errs.ConfigError
+// whose Field names the Config field at fault ("Ways", "PageBytes",
+// "SamplingCoeff", "Threshold" or "TagBufferEntries"), or nil when New
+// accepts c. Ways is bounded by vm.MaxWays because a way number must
+// fit the PTE/TLB mapping bits.
+func (c Config) Validate() *errs.ConfigError {
+	switch {
+	case c.Ways <= 0:
+		return errs.Configf("Ways", "banshee: ways must be positive, got %d", c.Ways)
+	case c.Ways > vm.MaxWays:
+		return errs.Configf("Ways", "banshee: at most %d ways fit the PTE mapping bits, got %d", vm.MaxWays, c.Ways)
+	case c.PageBytes != mem.PageBytes && c.PageBytes != mem.LargeBytes:
+		return errs.Configf("PageBytes", "banshee: page size %d not supported (4 KB or 2 MB)", c.PageBytes)
+	case c.SamplingCoeff <= 0 || c.SamplingCoeff > 1:
+		return errs.Configf("SamplingCoeff", "banshee: sampling coefficient %v out of (0,1]", c.SamplingCoeff)
+	case c.TagBufferEntries <= 0 || c.TagBufferWays <= 0 || c.TagBufferEntries%c.TagBufferWays != 0 ||
+		!pow2(c.TagBufferEntries/c.TagBufferWays):
+		return errs.Configf("TagBufferEntries", "banshee: %d tag-buffer entries in %d-way sets need a power-of-two set count",
+			c.TagBufferEntries, c.TagBufferWays)
 	}
-	if cfg.PageBytes != mem.PageBytes && cfg.PageBytes != mem.LargeBytes {
-		panic(fmt.Sprintf("banshee: page size %d not supported (4 KB or 2 MB)", cfg.PageBytes))
+	if nsets := c.CapacityBytes / c.PageBytes / c.Ways; !pow2(nsets) {
+		return errs.Configf("Ways", "banshee: capacity %d with %d ways × %d B pages gives non-power-of-two set count %d",
+			c.CapacityBytes, c.Ways, c.PageBytes, nsets)
+	}
+	bits := c.CounterBits
+	if bits == 0 {
+		bits = 5
+	}
+	if c.Threshold != 0 && c.Threshold >= float64(uint32(1)<<uint(bits)-1) {
+		return errs.Configf("Threshold", "banshee: threshold %.1f unreachable with %d-bit counters", c.Threshold, bits)
+	}
+	return nil
+}
+
+// pow2 reports whether n is a positive power of two.
+func pow2(n int) bool { return n > 0 && n&(n-1) == 0 }
+
+// New builds a Banshee instance bound to the system's page table and
+// TLBs (the software half of the co-design). It panics on a config
+// Validate rejects.
+func New(cfg Config, pt *vm.PageTable, tlbs []*vm.TLB, cost vm.CostModel) *Banshee {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	if cfg.Candidates == 0 {
 		cfg.Candidates = cfg.Ways + 1
 	}
 	if cfg.CounterBits == 0 {
 		cfg.CounterBits = 5
-	}
-	if cfg.SamplingCoeff <= 0 || cfg.SamplingCoeff > 1 {
-		panic(fmt.Sprintf("banshee: sampling coefficient %v out of (0,1]", cfg.SamplingCoeff))
 	}
 	if cfg.MCs <= 0 {
 		cfg.MCs = 1
@@ -156,10 +188,6 @@ func New(cfg Config, pt *vm.PageTable, tlbs []*vm.TLB, cost vm.CostModel) *Bansh
 		cfg.FlushThreshold = 0.7
 	}
 	nsets := cfg.CapacityBytes / cfg.PageBytes / cfg.Ways
-	if nsets <= 0 || nsets&(nsets-1) != 0 {
-		panic(fmt.Sprintf("banshee: capacity %d with %d ways × %d B pages gives non-power-of-two set count %d",
-			cfg.CapacityBytes, cfg.Ways, cfg.PageBytes, nsets))
-	}
 	lines := cfg.PageBytes / mem.LineBytes
 	b := &Banshee{
 		cfg:      cfg,
@@ -183,10 +211,7 @@ func New(cfg Config, pt *vm.PageTable, tlbs []*vm.TLB, cost vm.CostModel) *Bansh
 		}
 		b.threshold = float64(lines) * coeff / 2
 	}
-	if b.threshold >= float64(b.md.maxCount) {
-		if !derived {
-			panic(fmt.Sprintf("banshee: threshold %.1f unreachable with %d-bit counters", b.threshold, cfg.CounterBits))
-		}
+	if derived && b.threshold >= float64(b.md.maxCount) {
 		// The paper pairs the counter width with the sampling
 		// coefficient (5 bits suffice at 10%); when a sweep raises the
 		// coefficient, widen the counters so the derived threshold
@@ -229,7 +254,8 @@ func (b *Banshee) Name() string {
 func (b *Banshee) pageOf(a mem.Addr) uint64 { return uint64(a) >> b.pageShift }
 
 // frameKey converts a Banshee page number to the page-table frame key
-// (4 KB frame units).
+// (4 KB frame units). A 2 MB Banshee page over 4 KB data pages thus
+// keys only its region's first 4 KB PTE (see the vm package doc).
 func (b *Banshee) frameKey(page uint64) uint64 {
 	return page * uint64(b.cfg.PageBytes/mem.PageBytes)
 }
@@ -494,9 +520,8 @@ func (b *Banshee) noteRemap(page uint64, cached bool, way uint8, res *mc.Result)
 	}
 }
 
-// flush is the software routine: drain every MC's tag buffer, apply the
-// mappings to the page table via the OS reverse map, and shoot down all
-// TLBs. The caller's cores pay the cost through mc.SWCost.
+// flush is the software routine: drain every MC's tag buffer, write the
+// mappings into the PTEs, and shoot down all TLBs. The caller's cores pay the cost through mc.SWCost.
 func (b *Banshee) flush(res *mc.Result) {
 	b.flushes++
 	var ptes int

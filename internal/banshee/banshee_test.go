@@ -63,6 +63,8 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.SamplingCoeff = 2 },
 		func(c *Config) { c.CapacityBytes = 3 * 4096 * 4 },
 		func(c *Config) { c.Threshold = 40 }, // unreachable with 5-bit counters
+		func(c *Config) { c.Ways = 256 },     // way numbers overflow the mapping bits
+		func(c *Config) { c.TagBufferEntries = 12 },
 	}
 	for i, mutate := range cases {
 		cfg := DefaultConfig(1 << 20)

@@ -1,6 +1,8 @@
 package registry
 
 import (
+	"fmt"
+
 	"banshee/internal/banshee"
 	"banshee/internal/mc"
 )
@@ -61,7 +63,22 @@ func init() {
 			if spec.BansheeTagBufEntries > 0 {
 				cfg.TagBufferEntries = spec.BansheeTagBufEntries
 			}
+			if ce := cfg.Validate(); ce != nil {
+				if f, ok := bansheeSpecFields[ce.Field]; ok {
+					ce.Field = f
+				}
+				return nil, fmt.Errorf("sim: %w", ce)
+			}
 			return banshee.New(cfg, env.PageTable, env.TLBs, env.Cost), nil
 		},
 	})
+}
+
+// bansheeSpecFields renames a banshee.Config field that Validate
+// rejects to the Spec field it was set from.
+var bansheeSpecFields = map[string]string{
+	"Ways":             "BansheeWays",
+	"SamplingCoeff":    "BansheeSamplingCoeff",
+	"Threshold":        "BansheeThreshold",
+	"TagBufferEntries": "BansheeTagBufEntries",
 }

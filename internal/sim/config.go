@@ -154,6 +154,8 @@ func (c Config) validate() error {
 		ce = errs.Configf("InstrPerCore", "instruction budget not set")
 	case c.WarmupFrac < 0 || c.WarmupFrac >= 1:
 		ce = errs.Configf("WarmupFrac", "%v out of [0,1)", c.WarmupFrac)
+	case c.TLBEntries <= 0:
+		ce = errs.Configf("TLBEntries", "must be positive, got %d", c.TLBEntries)
 	default:
 		ce = c.cacheGeometryError()
 	}

@@ -1,16 +1,25 @@
-// Package vm models the virtual-memory substrate Banshee's
-// software/hardware co-design relies on: page tables whose PTEs carry the
-// DRAM-cache mapping extension (cached bit + way bits, §3.2), per-core
-// TLBs that may hold stale copies of those bits (the whole point of the
-// lazy coherence protocol, §3.4), the OS reverse-mapping mechanism that
-// locates all PTEs for a physical frame (including aliases), and the cost
-// accounting for TLB shootdowns and page-table update routines.
+// Package vm models the virtual-memory half of Banshee's
+// software/hardware co-design: page-table entries extended with the
+// DRAM-cache mapping bits (a cached bit and the way, §3.2), per-core
+// TLBs whose copies of those bits go stale until a shootdown (the lazy
+// coherence of §3.4), and the cost of the software routines that keep
+// them in sync.
 //
-// Address-space convention: workload traces emit virtual addresses.
-// Frames are allocated on first touch; the default allocator maps a
-// virtual page to an equal-numbered physical frame, which keeps traces
-// interpretable, while still exercising the full translate path. Aliases
-// can be created explicitly (Alias) to exercise the reverse map.
+// Translation is the identity (the caches index by the traces' virtual
+// addresses), so the only page-table state is the mapping extension:
+// one byte per touched page (bit 7 cached, bits 0–6 the way), copied
+// into a TLB entry. The page size comes from PageTable.DefaultLarge.
+//
+// Pages are keyed in 4 KB units: a 4 KB page by its page number, a
+// 2 MB page by the number of its first 4 KB page. SetCached takes a key
+// in the same units, so a 2 MB-page scheme (Banshee 2M) flushing over
+// 4 KB data pages updates only the PTE of its region's first 4 KB page,
+// and a 4 KB-page scheme over 2 MB data pages updates a PTE only for a
+// page that starts a 2 MB region.
+//
+// No page is aliased, so every frame has at most one PTE: the OS
+// reverse map of §3.4 reduces to the key lookup, and a flush touches 0
+// or 1 PTE per remapped page.
 package vm
 
 import (
@@ -20,192 +29,89 @@ import (
 	"banshee/internal/util"
 )
 
-// PTE is a page-table entry with Banshee's 3-bit extension.
-type PTE struct {
-	VPage uint64 // virtual page number (index in the table)
-	Frame uint64 // physical frame number
-	Size  mem.PageSize
+// cachedBit marks a cached page in a mapping byte; the low bits hold
+// the way.
+const cachedBit = 0x80
 
-	// Banshee extension (§3.2). For a 4-way cache, Way needs 2 bits;
-	// together with Cached this is the 3-bit PTE/TLB extension the paper
-	// describes.
+// MaxWays is the largest DRAM-cache associativity whose way numbers fit
+// a mapping byte.
+const MaxWays = cachedBit
+
+// PTE is the Banshee-visible content of a page-table entry, or of a
+// TLB's possibly stale copy of one.
+type PTE struct {
+	Size   mem.PageSize
 	Cached bool
 	Way    uint8
-
-	// next threads the OS reverse map: all PTEs mapping the same frame
-	// form an intrusive singly-linked list in insertion order (head and
-	// tail live in the page table's reverse index). TLB snapshots copy
-	// the field but never follow it.
-	next *PTE
 }
 
 // Mapping converts the PTE extension to the request-carried form.
-func (p *PTE) Mapping() mem.Mapping {
+func (p PTE) Mapping() mem.Mapping {
 	return mem.Mapping{Known: true, Cached: p.Cached, Way: p.Way}
 }
 
-// PageTable maps virtual pages to frames and maintains the OS reverse
-// map (frame → all PTEs), which Banshee's PTE-update routine uses to
-// find every alias of a physical page (§3.4).
-//
-// Both directions are open-addressed flat tables (util.Flat64): the
-// translate path probes contiguous key arrays instead of chasing the
-// runtime map's buckets, and the reverse map threads aliases through
-// the PTEs themselves (PTE.next) so a flush's SetCached walk touches no
-// auxiliary slices. PTEs are individually allocated, so *PTE handles
-// stay stable as the tables grow.
+// PageTable holds the mapping byte of every page touched so far.
 type PageTable struct {
-	entries util.Flat64[*PTE]     // vpage → PTE
-	reverse util.Flat64[revList]  // frame → intrusive PTE list
-	large   util.Flat64[struct{}] // 2 MB-aligned vpages backed by large pages
+	bits util.Flat64[uint8] // page key → mapping byte
 
-	revScratch []*PTE // reused by ReverseLookup
-
-	// DefaultLarge makes every translation allocate 2 MB pages (the
-	// §5.4.1 "all data resides on large pages" experiment).
+	// DefaultLarge makes every translation use 2 MB pages (the §5.4.1
+	// "all data resides on large pages" experiment).
 	DefaultLarge bool
 }
 
-// revList is one frame's reverse-map bucket: the ends of the intrusive
-// insertion-order list threaded through PTE.next.
-type revList struct {
-	head, tail *PTE
-}
-
 // NewPageTable returns an empty page table.
-func NewPageTable() *PageTable {
-	return &PageTable{}
-}
+func NewPageTable() *PageTable { return &PageTable{} }
 
-// DeclareLargeRegion marks the 2 MB-aligned virtual region containing
-// vaddr as backed by a large page; subsequent translations of any page
-// in the region return a single 2 MB PTE.
-func (pt *PageTable) DeclareLargeRegion(vaddr mem.Addr) {
-	pt.large.Put(mem.LargePageNum(vaddr), struct{}{})
-}
-
-// IsLarge reports whether vaddr falls in a large-page region. It sits
-// on the TLB lookup path, so the common all-4KB case exits on the
-// region count alone without hashing.
-func (pt *PageTable) IsLarge(vaddr mem.Addr) bool {
+// key returns vaddr's page key and page size.
+func (pt *PageTable) key(vaddr mem.Addr) (uint64, mem.PageSize) {
 	if pt.DefaultLarge {
-		return true
+		return mem.LargePageNum(vaddr) * mem.PagesPerLargePage, mem.Page2M
 	}
-	if pt.large.Len() == 0 {
-		return false
-	}
-	_, ok := pt.large.Get(mem.LargePageNum(vaddr))
-	return ok
+	return mem.PageNum(vaddr), mem.Page4K
 }
 
-// link appends e to its frame's reverse-map list.
-func (pt *PageTable) link(e *PTE) {
-	l := pt.reverse.Ptr(e.Frame)
-	if l.tail == nil {
-		l.head, l.tail = e, e
-		return
-	}
-	l.tail.next = e
-	l.tail = e
+// pte decodes mapping byte m of a page of the given size.
+func pte(m uint8, size mem.PageSize) PTE {
+	return PTE{Size: size, Cached: m&cachedBit != 0, Way: m &^ cachedBit}
 }
 
-// Translate returns the PTE for vaddr, allocating a frame on first
-// touch. Large regions translate at 2 MB granularity: the PTE's VPage
-// and Frame are then large-page numbers scaled to 4 KB frame units.
-func (pt *PageTable) Translate(vaddr mem.Addr) *PTE {
-	if pt.IsLarge(vaddr) {
-		lp := mem.LargePageNum(vaddr)
-		key := lp * mem.PagesPerLargePage // canonical 4 KB-unit index
-		if e, ok := pt.entries.Get(key); ok {
-			return e
-		}
-		e := &PTE{VPage: key, Frame: key, Size: mem.Page2M}
-		pt.entries.Put(key, e)
-		pt.link(e)
-		return e
-	}
-	vp := mem.PageNum(vaddr)
-	if e, ok := pt.entries.Get(vp); ok {
-		return e
-	}
-	e := &PTE{VPage: vp, Frame: vp, Size: mem.Page4K}
-	pt.entries.Put(vp, e)
-	pt.link(e)
-	return e
+// Translate returns vaddr's PTE, creating an uncached one on first
+// touch.
+func (pt *PageTable) Translate(vaddr mem.Addr) PTE {
+	k, size := pt.key(vaddr)
+	return pte(*pt.bits.Ptr(k), size)
 }
 
-// Alias maps an additional virtual page onto an existing frame,
-// modelling shared memory. It returns the new PTE. The frame must have
-// been allocated already.
-func (pt *PageTable) Alias(vpage, frame uint64) (*PTE, error) {
-	if _, ok := pt.entries.Get(vpage); ok {
-		return nil, fmt.Errorf("vm: vpage %#x already mapped", vpage)
-	}
-	l, ok := pt.reverse.Get(frame)
-	if !ok || l.head == nil {
-		return nil, fmt.Errorf("vm: frame %#x not allocated", frame)
-	}
-	src := l.head
-	e := &PTE{VPage: vpage, Frame: frame, Size: src.Size, Cached: src.Cached, Way: src.Way}
-	pt.entries.Put(vpage, e)
-	pt.link(e)
-	return e, nil
-}
-
-// ReverseLookup returns all PTEs mapping the given frame, in mapping
-// order — the OS reverse-mapping mechanism of §3.4. The returned slice
-// is scratch reused by the next call; copy it to keep it.
-func (pt *PageTable) ReverseLookup(frame uint64) []*PTE {
-	out := pt.revScratch[:0]
-	l, _ := pt.reverse.Get(frame)
-	for e := l.head; e != nil; e = e.next {
-		out = append(out, e)
-	}
-	pt.revScratch = out
-	return out
-}
-
-// SetCached updates the DRAM-cache extension bits of every PTE mapping
-// frame, returning how many PTEs were touched. This is the core of the
-// software PTE-update routine triggered by a tag-buffer flush.
+// SetCached sets the mapping bits of the PTE keyed frame, if one exists,
+// and returns how many PTEs it touched (0 or 1). It never creates a
+// PTE. This is the core of the software PTE-update routine a tag-buffer
+// flush runs; way must be below MaxWays.
 func (pt *PageTable) SetCached(frame uint64, cached bool, way uint8) int {
-	l, _ := pt.reverse.Get(frame)
-	n := 0
-	for e := l.head; e != nil; e = e.next {
-		e.Cached = cached
-		e.Way = way
-		n++
+	p := pt.bits.GetPtr(frame)
+	if p == nil {
+		return 0
 	}
-	return n
+	*p = way
+	if cached {
+		*p |= cachedBit
+	}
+	return 1
 }
 
-// Len returns the number of PTEs (diagnostic).
-func (pt *PageTable) Len() int { return pt.entries.Len() }
-
-// TLB is one core's translation lookaside buffer (fully associative,
-// LRU). Sized generously by default; TLB miss *timing* is modeled by the
-// simulator via WalkCycles. An index map makes the (hot) hit path O(1)
-// instead of a scan over all entries; the LRU victim scan only runs on
-// misses.
-//
-// Entry state is struct-of-arrays: the PTE snapshots (which model stale
-// TLB contents — copies, not pointers into the page table) and the
-// vpage keys live in parallel slices, and recency is an intrusive
-// doubly-linked MRU list (next/prev slot indices) instead of the old
-// per-entry stamps — the same total order, so the evicted entry is
-// always the exact LRU one, but the miss path pops the list tail in
-// O(1) instead of scanning every entry for the minimal stamp. Entries
-// are only invalidated wholesale (Flush), so the valid entries always
-// form the prefix [0, filled) and no per-entry valid bit exists: while
-// the TLB is not yet full the victim is simply the fill frontier,
-// exactly the first-invalid slot the old scan found.
+// TLB is one core's translation lookaside buffer: fully associative,
+// exact LRU, holding each entry's mapping byte as copied at fill time,
+// so a PTE update stays invisible to it until Flush. The simulator
+// charges the miss timing. An index table makes hits O(1); recency is
+// an intrusive MRU list over slots, so a miss evicts the LRU tail.
+// Only Flush invalidates, so the valid entries are always the prefix
+// [0, filled) and a TLB that is not yet full fills at the frontier.
 type TLB struct {
-	vpages     []uint64
-	ptes       []PTE // snapshots, not pointers: model stale TLB contents
+	keys       []uint64
+	bits       []uint8 // mapping-byte copies: stale until Flush
 	next, prev []int32
 	head, tail int32 // MRU and LRU ends of the recency list
 	filled     int
-	index      util.Flat64[int32] // vpage key → slot, mirrors entries [0, filled)
+	index      util.Flat64[int32] // page key → slot, mirrors [0, filled)
 
 	Hits, Misses uint64
 	Shootdowns   uint64
@@ -217,13 +123,13 @@ func NewTLB(n int) *TLB {
 		panic(fmt.Sprintf("vm: TLB size must be positive, got %d", n))
 	}
 	return &TLB{
-		vpages: make([]uint64, n),
-		ptes:   make([]PTE, n),
-		next:   make([]int32, n),
-		prev:   make([]int32, n),
-		head:   -1,
-		tail:   -1,
-		index:  *util.NewFlat64[int32](n),
+		keys:  make([]uint64, n),
+		bits:  make([]uint8, n),
+		next:  make([]int32, n),
+		prev:  make([]int32, n),
+		head:  -1,
+		tail:  -1,
+		index: *util.NewFlat64[int32](n),
 	}
 }
 
@@ -232,19 +138,14 @@ func (t *TLB) touch(i int32) {
 	if t.head == i {
 		return
 	}
-	// Unlink (i is not head, so it has a predecessor).
-	p, n := t.prev[i], t.next[i]
+	p, n := t.prev[i], t.next[i] // i is not head, so p >= 0
 	t.next[p] = n
 	if n >= 0 {
 		t.prev[n] = p
 	} else {
 		t.tail = p
 	}
-	// Push front.
-	t.prev[i] = -1
-	t.next[i] = t.head
-	t.prev[t.head] = i
-	t.head = i
+	t.pushFront(i)
 }
 
 // pushFront links a fresh slot at the MRU end.
@@ -259,39 +160,32 @@ func (t *TLB) pushFront(i int32) {
 	t.head = i
 }
 
-func (t *TLB) keyFor(vaddr mem.Addr, pt *PageTable) uint64 {
-	if pt.IsLarge(vaddr) {
-		return mem.LargePageNum(vaddr)*mem.PagesPerLargePage | 1<<63 // disambiguate sizes
-	}
-	return mem.PageNum(vaddr)
-}
-
 // Lookup translates vaddr through the TLB, filling from the page table
-// on a miss. It returns the (possibly stale) PTE snapshot and whether
-// the translation hit in the TLB.
+// on a miss. It returns the (possibly stale) PTE copy and whether the
+// translation hit in the TLB.
 func (t *TLB) Lookup(vaddr mem.Addr, pt *PageTable) (PTE, bool) {
-	key := t.keyFor(vaddr, pt)
+	key, size := pt.key(vaddr)
 	if i, ok := t.index.Get(key); ok {
 		t.touch(i)
 		t.Hits++
-		return t.ptes[i], true
+		return pte(t.bits[i], size), true
 	}
 	t.Misses++
-	pte := *pt.Translate(vaddr) // snapshot the current PTE content
+	m := *pt.bits.Ptr(key)
 	var victim int32
-	if t.filled < len(t.vpages) {
-		victim = int32(t.filled) // the first free slot, as the old scan found
+	if t.filled < len(t.keys) {
+		victim = int32(t.filled)
 		t.filled++
 		t.pushFront(victim)
 	} else {
-		victim = t.tail // exact LRU, as the old stamp scan found
-		t.index.Delete(t.vpages[victim])
+		victim = t.tail
+		t.index.Delete(t.keys[victim])
 		t.touch(victim)
 	}
-	t.vpages[victim] = key
-	t.ptes[victim] = pte
+	t.keys[victim] = key
+	t.bits[victim] = m
 	t.index.Put(key, victim)
-	return pte, false
+	return pte(m, size), false
 }
 
 // Flush invalidates every entry (a TLB shootdown's effect on this core).
@@ -302,19 +196,14 @@ func (t *TLB) Flush() {
 	t.index.Clear()
 }
 
-// Occupancy returns the number of valid entries (diagnostic).
-func (t *TLB) Occupancy() int { return t.filled }
-
 // CostModel holds the software-cost parameters of §5.1 (Table 3),
 // already converted to CPU cycles by the caller.
 type CostModel struct {
-	PTEUpdateCycles      uint64 // whole tag-buffer flush routine (20 µs default)
-	ShootdownInitiator   uint64 // 4 µs default
-	ShootdownSlave       uint64 // 1 µs default
-	PageWalkCycles       uint64 // TLB miss penalty
-	LargePageWalkCycles  uint64 // usually smaller (fewer levels); 0 = same as 4 KB
-	PerPTETouchCycles    uint64 // incremental cost per PTE updated in a flush
-	SoftwareEpochOverlap bool   // if true, routine overlaps with execution (idealization)
+	PTEUpdateCycles    uint64 // whole tag-buffer flush routine (20 µs default)
+	ShootdownInitiator uint64 // 4 µs default
+	ShootdownSlave     uint64 // 1 µs default
+	PageWalkCycles     uint64 // TLB miss penalty, 4 KB and 2 MB pages alike
+	PerPTETouchCycles  uint64 // incremental cost per PTE updated in a flush
 }
 
 // DefaultCostModel returns the paper's Table 3 costs at the given clock.
