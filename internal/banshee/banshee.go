@@ -521,7 +521,8 @@ func (b *Banshee) noteRemap(page uint64, cached bool, way uint8, res *mc.Result)
 }
 
 // flush is the software routine: drain every MC's tag buffer, write the
-// mappings into the PTEs, and shoot down all TLBs. The caller's cores pay the cost through mc.SWCost.
+// mappings into the PTEs, and shoot down all TLBs. The caller's cores
+// pay the cost through mc.SWCost.
 func (b *Banshee) flush(res *mc.Result) {
 	b.flushes++
 	var ptes int

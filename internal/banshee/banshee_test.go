@@ -431,6 +431,43 @@ func TestLargePageReplacementMovesWholePage(t *testing.T) {
 	}
 }
 
+// TestLargePageFlushKeysFirstSmallPage pins a quirk of frameKey: a
+// 2 MB Banshee over a 4 KB page table writes each flushed mapping only
+// into the PTE of its region's first 4 KB page. Fixing the quirk moves
+// golden rows, so it must fail this test deliberately.
+func TestLargePageFlushKeysFirstSmallPage(t *testing.T) {
+	pt := vm.NewPageTable() // 4 KB pages: LargePages off
+	cfg := LargePageConfig(64 << 20)
+	cfg.SamplingCoeff = 1.0
+	cfg.Threshold = 4
+	cfg.CounterBits = 8
+	cfg.MCs = 1
+	cfg.TagBufferEntries, cfg.TagBufferWays = 4, 4
+	b := New(cfg, pt, nil, vm.DefaultCostModel(2700))
+	const regions = 16
+	for i := 0; i < 4000 && b.flushes == 0; i++ {
+		base := mem.Addr(i%regions) << 21
+		touch(b, pt, base)
+		touch(b, pt, base+mem.PageBytes)
+	}
+	if b.flushes == 0 {
+		t.Fatal("tag buffer never flushed")
+	}
+	first := 0
+	for r := 0; r < regions; r++ {
+		base := mem.Addr(r) << 21
+		if pt.Translate(base).Cached {
+			first++
+		}
+		if pt.Translate(base + mem.PageBytes).Cached {
+			t.Fatalf("region %d: a flush updated the PTE of its second 4 KB page", r)
+		}
+	}
+	if first == 0 || uint64(first) > b.ptesSynced {
+		t.Fatalf("%d first-page PTEs cached after %d PTE updates", first, b.ptesSynced)
+	}
+}
+
 func TestLRUPolicyReplacesEveryMiss(t *testing.T) {
 	b, pt, _ := testSystem(func(c *Config) { c.Policy = LRUReplaceOnMiss })
 	for i := 0; i < 100; i++ {

@@ -13,9 +13,7 @@
 // Pages are keyed in 4 KB units: a 4 KB page by its page number, a
 // 2 MB page by the number of its first 4 KB page. SetCached takes a key
 // in the same units, so a 2 MB-page scheme (Banshee 2M) flushing over
-// 4 KB data pages updates only the PTE of its region's first 4 KB page,
-// and a 4 KB-page scheme over 2 MB data pages updates a PTE only for a
-// page that starts a 2 MB region.
+// 4 KB data pages updates only the PTE of its region's first 4 KB page.
 //
 // No page is aliased, so every frame has at most one PTE: the OS
 // reverse map of §3.4 reduces to the key lookup, and a flush touches 0
