@@ -1,10 +1,15 @@
 // Benchmark harness: one benchmark per table/figure of the paper's
-// evaluation (§5), plus micro-benchmarks of the core data structures.
+// evaluation (§5), the end-to-end and gang-sweep throughput runs, and
+// trace-file encode/decode/replay.
 //
 // The experiment benchmarks run reduced-size simulations per iteration
 // and report the paper's metric via b.ReportMetric (speedup-x, B/i,
 // miss-%), so `go test -bench=.` regenerates the *shape* of every
 // result quickly; cmd/experiments runs the full-size versions.
+// Per-layer costs (workload generation, TLB, each cache level, each
+// scheme's Access, DRAM) and same-machine A/B comparisons come from
+// perfbench/ (`python3 perfbench/run.py`), not from here; allocation
+// ceilings live in zeroalloc_test.go.
 package banshee_test
 
 import (
@@ -15,13 +20,9 @@ import (
 	"testing"
 
 	"banshee"
-	bcore "banshee/internal/banshee"
-	"banshee/internal/cache"
-	"banshee/internal/dram"
 	"banshee/internal/mem"
 	"banshee/internal/trace"
 	"banshee/internal/tracefile"
-	"banshee/internal/vm"
 )
 
 // benchConfig is the reduced-size system used by experiment benchmarks.
@@ -33,11 +34,11 @@ func benchConfig() banshee.Config {
 	return cfg
 }
 
-func mustRun(b *testing.B, cfg banshee.Config, workload, scheme string) banshee.Result {
-	b.Helper()
+func mustRun(tb testing.TB, cfg banshee.Config, workload, scheme string) banshee.Result {
+	tb.Helper()
 	res, err := banshee.Run(cfg, workload, scheme)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return res
 }
@@ -222,86 +223,33 @@ func BenchmarkBatman(b *testing.B) {
 	}
 }
 
-// ---- Micro-benchmarks of the core structures ----
-
-// BenchmarkTagBuffer measures the tag buffer's lookup/insert path — the
-// structure on every LLC miss's way through a Banshee MC.
-func BenchmarkTagBuffer(b *testing.B) {
-	tb := bcore.NewTagBuffer(1024, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		page := uint64(i) % 4096
-		if _, hit := tb.Lookup(page); !hit {
-			if !tb.InsertClean(page, true, uint8(i%4)) {
-				tb.DrainRemaps()
-			}
-		}
-	}
-}
-
-// BenchmarkBansheeAccess measures the full scheme access path
-// (mapping resolution + sampled FBR).
-func BenchmarkBansheeAccess(b *testing.B) {
-	pt := vm.NewPageTable()
-	cfg := bcore.DefaultConfig(64 << 20)
-	cfg.Seed = 1
-	s := bcore.New(cfg, pt, nil, vm.DefaultCostModel(2700))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		addr := mem.Addr(uint64(i*2654435761) % (256 << 20))
-		pte := pt.Translate(addr)
-		s.Access(mem.Request{Addr: addr, Mapping: pte.Mapping()})
-	}
-}
-
-// BenchmarkDRAMAccess measures the channel timing model.
-func BenchmarkDRAMAccess(b *testing.B) {
-	d := dram.New(dram.InPackageConfig(2700))
-	b.ResetTimer()
-	now := uint64(0)
-	for i := 0; i < b.N; i++ {
-		a := mem.Addr(uint64(i*2654435761) % (1 << 30))
-		d.Access(now, a, 64, i%4 == 0, i%2 == 0)
-		now += 10
-	}
-}
-
-// BenchmarkSRAMCache measures the L-level cache lookup path.
-func BenchmarkSRAMCache(b *testing.B) {
-	c := cache.New(cache.Config{
-		Name: "bench", SizeBytes: 512 << 10, Ways: 16, LineBytes: 64, Policy: cache.LRU,
-	})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := mem.Addr(uint64(i*2654435761) % (4 << 20))
-		c.Access(a, i%4 == 0, 0)
-	}
-}
-
-// BenchmarkTraceGen measures workload event generation.
-func BenchmarkTraceGen(b *testing.B) {
-	w, err := trace.New("pagerank", 16, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Next(i % 16)
-	}
-}
-
 // BenchmarkEndToEnd measures whole-simulation throughput
 // (instructions simulated per wall-second is 1/ns-per-op × instr).
 func BenchmarkEndToEnd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cfg := banshee.DefaultConfig()
-		cfg.Cores = 4
-		cfg.InstrPerCore = 100_000
-		cfg.Seed = uint64(i + 1)
-		if _, err := banshee.Run(cfg, "mix1", "Banshee"); err != nil {
-			b.Fatal(err)
-		}
+		mustRun(b, endToEndConfig(uint64(i+1)), "mix1", "Banshee")
 	}
+}
+
+// endToEndConfig is BenchmarkEndToEnd's run of mix1 under Banshee:
+// 4 cores × 100k instructions.
+func endToEndConfig(seed uint64) banshee.Config {
+	cfg := banshee.DefaultConfig()
+	cfg.Cores = 4
+	cfg.InstrPerCore = 100_000
+	cfg.Seed = seed
+	return cfg
+}
+
+// The gang sweep's workload and scheme; its seeds are gangSeeds().
+const gangWorkload, gangScheme = "tri_count_kernel", "TDC"
+
+// gangSweepConfig is the config both arms of BenchmarkGangSweep share.
+func gangSweepConfig() banshee.Config {
+	cfg := benchConfig()
+	cfg.WorkloadSeed = 42
+	cfg.WarmupFrac = 0
+	return cfg
 }
 
 // BenchmarkGangSweep measures the gang execution engine (DESIGN.md
@@ -316,36 +264,19 @@ func BenchmarkEndToEnd(b *testing.B) {
 // headline number: it must sustain ≥2× the independent arm's
 // aggregate accesses/sec.
 func BenchmarkGangSweep(b *testing.B) {
-	const workload, scheme = "tri_count_kernel", "TDC"
-	gangCfg := func() banshee.Config {
-		cfg := benchConfig()
-		cfg.WorkloadSeed = 42
-		cfg.WarmupFrac = 0
-		return cfg
-	}
-	seeds := make([]uint64, 8)
-	for i := range seeds {
-		seeds[i] = uint64(i + 1)
-	}
 	// Build the graph substrate outside the timed regions (it is cached
 	// and shared by both arms; a short run forces construction).
-	warm := gangCfg()
+	warm := gangSweepConfig()
 	warm.InstrPerCore = 1_000
-	if _, err := banshee.Run(warm, workload, scheme); err != nil {
-		b.Fatal(err)
-	}
+	mustRun(b, warm, gangWorkload, gangScheme)
 	b.Run("independent", func(b *testing.B) {
 		var accesses uint64
 		for i := 0; i < b.N; i++ {
 			accesses = 0
-			for _, sd := range seeds {
-				cfg := gangCfg()
+			for _, sd := range gangSeeds() {
+				cfg := gangSweepConfig()
 				cfg.Seed = sd
-				res, err := banshee.Run(cfg, workload, scheme)
-				if err != nil {
-					b.Fatal(err)
-				}
-				accesses += res.L1Accesses
+				accesses += mustRun(b, cfg, gangWorkload, gangScheme).L1Accesses
 			}
 		}
 		b.ReportMetric(float64(accesses)*float64(b.N)/b.Elapsed().Seconds(), "accesses/s")
@@ -353,7 +284,7 @@ func BenchmarkGangSweep(b *testing.B) {
 	b.Run("gang8", func(b *testing.B) {
 		var accesses uint64
 		for i := 0; i < b.N; i++ {
-			g, err := banshee.NewGangSession(gangCfg(), workload, scheme, seeds)
+			g, err := banshee.NewGangSession(gangSweepConfig(), gangWorkload, gangScheme, gangSeeds())
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -233,18 +233,12 @@ func New(cfg Config, pt *vm.PageTable, tlbs []*vm.TLB, cost vm.CostModel) *Bansh
 
 // Name implements mc.Scheme.
 func (b *Banshee) Name() string {
-	switch b.cfg.Policy {
-	case FBRNoSample:
-		return "Banshee FBR no-sample"
-	case LRUReplaceOnMiss:
-		return "Banshee LRU"
-	case SetDueling:
-		return "Banshee Duel"
-	}
-	if b.cfg.PageBytes == mem.LargeBytes {
+	switch {
+	case b.cfg.Policy != FBRSampled:
+		return b.cfg.Policy.String()
+	case b.cfg.PageBytes == mem.LargeBytes:
 		return "Banshee 2M"
-	}
-	if b.cfg.Footprint {
+	case b.cfg.Footprint:
 		return "Banshee FP"
 	}
 	return "Banshee"
@@ -611,11 +605,4 @@ func (b *Banshee) Flushes() uint64 { return b.flushes }
 func (b *Banshee) Resident(page uint64) (bool, int) {
 	w := b.md.set(page).findCached(b.md.tagOf(page))
 	return w >= 0, w
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -29,7 +29,6 @@ package netfault
 import (
 	"bytes"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
 	"sync"
@@ -137,9 +136,7 @@ func (t *Transport) Plan() Plan { return t.plan }
 // the pure decision function, exposed so tests can predict and audit
 // injections.
 func (t *Transport) ModeFor(method, path string, attempt uint64) Mode {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s|%s|%d", t.plan.Seed, method, path, attempt)
-	r := util.Roll(h.Sum64())
+	r := util.RollKey("%d|%s|%s|%d", t.plan.Seed, method, path, attempt)
 	p := t.plan
 	for _, m := range []struct {
 		rate float64

@@ -2,7 +2,6 @@ package netfault
 
 import (
 	"fmt"
-	"hash/fnv"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -161,9 +160,7 @@ func (p *Proxy) partitioned() bool {
 // draw a cut, a stall, or neither. Cumulative-exclusive like
 // Transport.ModeFor.
 func (p *Proxy) faultsFor(idx uint64) (cut, stall bool) {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "proxy|%d|%d", p.plan.Seed, idx)
-	r := util.Roll(h.Sum64())
+	r := util.RollKey("proxy|%d|%d", p.plan.Seed, idx)
 	if r < p.plan.CutRate {
 		return true, false
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"runtime/debug"
 	"sync"
@@ -71,7 +70,7 @@ func (p RetryPolicy) Attempts() int {
 // Delay returns the backoff before retry `attempt` (1-based: the delay
 // after the attempt-th failure). Jitter multiplies the exponential
 // delay by a factor in [0.5, 1.0) hashed from (jobID, attempt) through
-// util.Roll, so successive attempts draw independent factors and
+// util.RollKey, so successive attempts draw independent factors and
 // concurrent failing jobs de-synchronize without perturbing any RNG
 // the simulations use — determinism of results is untouched.
 func (p RetryPolicy) Delay(jobID string, attempt int) time.Duration {
@@ -85,9 +84,7 @@ func (p RetryPolicy) Delay(jobID string, attempt int) time.Duration {
 			d = p.BaseDelay
 		}
 	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%d", jobID, attempt)
-	frac := util.Roll(h.Sum64())
+	frac := util.RollKey("%s|%d", jobID, attempt)
 	return d/2 + time.Duration(frac*float64(d/2))
 }
 
@@ -181,7 +178,7 @@ func (e Engine) runSupervised(ctx context.Context, job Job, w int, em *engineMet
 			return stats.Sim{}, ctx.Err()
 		}
 		if attempt < max {
-			if !sleepCtx(ctx, e.Retry.Delay(job.ID, attempt)) {
+			if !util.SleepCtx(ctx, e.Retry.Delay(job.ID, attempt)) {
 				return stats.Sim{}, ctx.Err()
 			}
 		}
@@ -208,22 +205,6 @@ func (e Engine) attempt(ctx context.Context, job Job, run JobRunner) (st stats.S
 		}
 	}()
 	return run(ctx, job)
-}
-
-// sleepCtx sleeps for d unless ctx ends first; reports whether the
-// full sleep completed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
 }
 
 // failureRecord renders a permanently failed job as the Record the

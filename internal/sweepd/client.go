@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"banshee/internal/runner"
+	"banshee/internal/util"
 )
 
 // Client talks to a sweepd daemon over HTTP/JSON. Every unary call
@@ -147,7 +148,7 @@ func (c *Client) doCall(ctx context.Context, call string, timeout time.Duration,
 			return lastErr
 		}
 		recordRetry(call)
-		if !sleepCtxDone(ctx, c.backoff(call+"|"+path, attempt, lastErr)) {
+		if !util.SleepCtx(ctx, c.backoff(call+"|"+path, attempt, lastErr)) {
 			return lastErr
 		}
 	}
@@ -221,21 +222,6 @@ func retryAfter(err error) time.Duration {
 		return ae.RetryAfter
 	}
 	return 0
-}
-
-// sleepCtxDone sleeps d, returning false if ctx ended first.
-func sleepCtxDone(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
 }
 
 // APIError is a non-2xx daemon response.
@@ -379,7 +365,7 @@ func (c *Client) stream(ctx context.Context, id, kind string, offset int64, foll
 			return total, err
 		}
 		recordRetry(callStream)
-		if !sleepCtxDone(ctx, c.backoff(callStream+"|"+id+"/"+kind, attempt, err)) {
+		if !util.SleepCtx(ctx, c.backoff(callStream+"|"+id+"/"+kind, attempt, err)) {
 			return total, err
 		}
 	}

@@ -5,6 +5,11 @@
 // bit-for-bit from its seed.
 package util
 
+import (
+	"fmt"
+	"hash/fnv"
+)
+
 // RNG is a SplitMix64 pseudo-random number generator. It is small, fast,
 // passes BigCrush, and — unlike math/rand's global state — gives every
 // component its own deterministic stream. The zero value is a valid
@@ -85,13 +90,17 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Roll maps a hash sum to a uniform draw in [0, 1), for decisions keyed
-// by a hash rather than drawn from a stream (fault injection, retry
-// jitter). The sum is run through the murmur3 fmix64 finalizer first:
-// FNV-64a barely avalanches its final input byte, so two keys differing
-// only in a trailing digit (consecutive attempt counters) would land
-// within ~1e-7 of each other and draw the same decision.
-func Roll(x uint64) float64 {
+// RollKey maps a formatted key to a uniform draw in [0, 1), for
+// decisions keyed by a hash rather than drawn from a stream (fault
+// injection, retry jitter). The key's FNV-64a sum is run through the
+// murmur3 fmix64 finalizer first: FNV-64a barely avalanches its final
+// input byte, so two keys differing only in a trailing digit
+// (consecutive attempt counters) would land within ~1e-7 of each other
+// and draw the same decision.
+func RollKey(format string, args ...any) float64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, format, args...)
+	x := h.Sum64()
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
 	x ^= x >> 33

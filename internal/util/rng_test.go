@@ -1,9 +1,11 @@
 package util
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestRNGDeterminism(t *testing.T) {
@@ -173,5 +175,42 @@ func TestRNGUint64nDistribution(t *testing.T) {
 		if c < n/10-n/50 || c > n/10+n/50 {
 			t.Fatalf("bucket %d count %d far from uniform", i, c)
 		}
+	}
+}
+
+// TestRollKeyPinned pins RollKey's draws for keys shaped like its
+// callers' (netfault call, retry attempt, proxy connection), so a
+// change to the hashing shows up as a changed decision here rather than
+// as different faults in the chaos suites.
+func TestRollKeyPinned(t *testing.T) {
+	for _, c := range []struct {
+		got, want float64
+	}{
+		{RollKey("%d|%s|%s|%d", 7, "POST", "/v1/sweeps", 3), 0.9750677837854858},
+		{RollKey("%s|%d", "job-a", 1), 0.10551561725139336},
+		{RollKey("%s|%d", "job-a", 2), 0.4070786017599952},
+		{RollKey("proxy|%d|%d", 42, 0), 0.5721862112386206},
+	} {
+		if c.got != c.want {
+			t.Errorf("RollKey = %v, want %v", c.got, c.want)
+		}
+	}
+}
+
+func TestSleepCtx(t *testing.T) {
+	if !SleepCtx(context.Background(), time.Millisecond) {
+		t.Fatal("uncancelled sleep reported early return")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	start := time.Now()
+	if SleepCtx(ctx, time.Minute) {
+		t.Fatal("cancelled sleep reported completion")
+	}
+	if time.Since(start) > 10*time.Second {
+		t.Fatal("cancelled sleep did not return promptly")
+	}
+	if SleepCtx(ctx, 0) || !SleepCtx(context.Background(), 0) {
+		t.Fatal("zero sleep must report whether ctx is live")
 	}
 }
